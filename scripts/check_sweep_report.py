@@ -23,10 +23,12 @@ import math
 import sys
 
 REPORT_COUNTERS = ("total", "capped_runs", "safety_violations",
-                   "undecided_runs", "vacuous_runs")
+                   "undecided_runs", "vacuous_runs", "attacked_without_coin")
 CELL_KEYS = ("n", "strategy", "scheduler", "seed", "inputs", "coin",
-             "capped", "decided", "agreed", "valid", "attacked", "rounds",
-             "deliveries")
+             "capped", "decided", "agreed", "valid", "attacked", "coin_only",
+             "coin_requested", "coin_output", "rounds", "deliveries")
+CELL_BOOLS = ("capped", "decided", "agreed", "valid", "attacked", "coin_only",
+              "coin_requested", "coin_output")
 
 
 def fail(msg):
@@ -51,7 +53,7 @@ def check_report(label, report, errors):
                       f"{len(cells)} cells")
 
     counted = {"capped_runs": 0, "safety_violations": 0, "undecided_runs": 0,
-               "vacuous_runs": 0}
+               "vacuous_runs": 0, "attacked_without_coin": 0}
     for i, cell in enumerate(cells):
         missing = [k for k in CELL_KEYS if k not in cell]
         if missing:
@@ -62,7 +64,7 @@ def check_report(label, report, errors):
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 errors.append(f"{where}: cell {i} field '{k}' not a "
                               f"non-negative integer ({v!r})")
-        for k in ("capped", "decided", "agreed", "valid", "attacked"):
+        for k in CELL_BOOLS:
             if not isinstance(cell[k], bool):
                 errors.append(f"{where}: cell {i} field '{k}' not a bool")
         if cell.get("capped"):
@@ -74,6 +76,14 @@ def check_report(label, report, errors):
             counted["undecided_runs"] += 1
         if not cell.get("attacked"):
             counted["vacuous_runs"] += 1
+        # A coin-only strategy attacking an SVSS-coin cell in which no
+        # honest process requested and output a coin hit nothing the
+        # agreement used (the coin is dealt only on demand).
+        if (cell.get("attacked") and cell.get("coin") == "svss"
+                and cell.get("coin_only")
+                and not (cell.get("coin_requested")
+                         and cell.get("coin_output"))):
+            counted["attacked_without_coin"] += 1
 
     for key, want in counted.items():
         if report[key] != want:
@@ -91,7 +101,8 @@ def check_report(label, report, errors):
           f"capped_rate={capped_rate:.3f} "
           f"safety={report['safety_violations']} "
           f"undecided={report['undecided_runs']} "
-          f"vacuous={report['vacuous_runs']}")
+          f"vacuous={report['vacuous_runs']} "
+          f"attacked_without_coin={report['attacked_without_coin']}")
     return capped_rate
 
 

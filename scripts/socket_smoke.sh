@@ -4,9 +4,11 @@
 # Launches n=4 example_agreement_cluster daemons as separate OS processes,
 # each binding one TCP endpoint of the fleet, and asserts that every
 # replica prints a decision and that all decisions agree.  This is the
-# end-to-end check that the socket transport (src/net/) carries the full
-# protocol stack — sharing, G-sets, coin reconstruction, ABA votes — over
-# actual connections, not just the in-process loopback the unit tests use.
+# end-to-end check that the socket transport (src/net/) carries the
+# protocol stack — ABA votes, plus the coin's sharing, G-sets and
+# reconstruction whenever a round falls through to the coin (it is dealt
+# on demand) — over actual connections, not just the in-process loopback
+# the unit tests use.
 #
 # Usage: scripts/socket_smoke.sh [path-to-example_agreement_cluster]
 # Env:   SOCKET_SMOKE_BASE_PORT (default 45200), SOCKET_SMOKE_SEED (3),

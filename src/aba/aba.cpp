@@ -69,6 +69,7 @@ AbaSession::RoundSnapshot AbaSession::snapshot(std::uint32_t r) const {
   s.conf_senders = st.conf_from.size();
   s.conf_frozen = st.conf_frozen;
   s.has_coin = st.coin.has_value();
+  s.coin_requested = st.coin_requested;
   return s;
 }
 
@@ -83,18 +84,11 @@ void AbaSession::enter_round(Context& ctx, std::uint32_t r) {
   round_ = r;
   Round& st = round_state(r);
   send_est(ctx, r, est_);
-  if (!st.coin_started) {
-    st.coin_started = true;
-    request_coin(ctx, r);
-  }
-  progress(ctx);
-}
-
-void AbaSession::request_coin(Context& ctx, std::uint32_t r) {
-  Round& st = round_state(r);
   switch (mode_) {
     case CoinMode::kSvss:
-      host_.start_coin(ctx, instance_, r);
+      // Dealt on demand: progress() requests the coin only if the tier rule
+      // falls through to it.
+      host_.aba_entered_round(ctx, instance_, r);
       break;
     case CoinMode::kLocal:
       st.coin = ctx.rng().next_bool() ? 1 : 0;
@@ -104,6 +98,7 @@ void AbaSession::request_coin(Context& ctx, std::uint32_t r) {
           mix64(common_seed_ ^ (instance_ * kCoinRoundsPerInstance + r)) & 1);
       break;
   }
+  progress(ctx);
 }
 
 void AbaSession::send_est(Context& ctx, std::uint32_t r, int v) {
@@ -236,7 +231,14 @@ void AbaSession::progress(Context& ctx) {
       }
     }
     if (!have_est) {
-      if (!st.coin) return;  // wait for the round's coin
+      if (!st.coin) {
+        // Only the SVSS coin can be missing here; ask for it once and wait.
+        if (!st.coin_requested) {
+          st.coin_requested = true;
+          host_.start_coin(ctx, instance_, r);
+        }
+        return;
+      }
       est_ = *st.coin;
     }
     st.advanced = true;

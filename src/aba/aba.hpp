@@ -14,6 +14,18 @@
 //                       >=  t+1 sets == {v} -> est := v;
 //                       otherwise            est := coin(round).
 //
+// With the SVSS coin, a round's coin is dealt on demand.  Nobody deals it
+// at round entry.  A process requests coin r (AbaHost::start_coin) only
+// when the tier rule on its frozen round-r sample gives no estimate.  Its
+// dealt shares are the signal to everyone else: a host joins coin r, dealing
+// its own secrets, on the first SVSS-coin traffic of that round, but only
+// once its own instance has entered round r (AbaHost::aba_entered_round
+// replays contact that came earlier).  A needy process's shares reach every
+// nonfaulty process, and each joins by the time it enters r, so the coin
+// still gets n-t nonfaulty dealers.  Contact for a round the instance never
+// entered starts nothing, so a faulty peer can force at most one coin per
+// round entered — the cost of dealing every round eagerly.
+//
 // Safety never depends on the coin: two singleton CONF values cannot
 // coexist (an honest CONF {v} needs > half of a justified AUX sample), and
 // a decision's 2t+1 CONF {v} broadcasts force >= t+1 of them into every
@@ -40,7 +52,8 @@ namespace svss {
 
 // Where the round-r fallback coin comes from.
 enum class CoinMode {
-  kSvss,         // the paper's protocol: one SCC instance per round
+  kSvss,         // the paper's protocol: one SCC instance per round that
+                 // falls through to the coin (dealt on demand, see above)
   kLocal,        // Ben-Or/Bracha-style private coin (exponential baseline)
   kIdealCommon,  // perfect common coin from a shared seed (SCC abstraction,
                  // used to scale round-count experiments past the reach of
@@ -52,10 +65,21 @@ class AbaHost {
   virtual ~AbaHost() = default;
   virtual void rb_broadcast(Context& ctx, const Message& m) = 0;
   virtual void send_direct(Context& ctx, int to, Message m) = 0;
-  // Starts coin round `round` of agreement instance `instance` (kSvss
-  // mode).  The result comes back through AbaSession::on_coin.
+  // Coin round `round` of agreement instance `instance` is needed (kSvss
+  // mode): this process's frozen round-`round` CONF sample gave no
+  // estimate.  Called at most once per round; the host deals this
+  // process's share of the coin.  The result comes back through
+  // AbaSession::on_coin.
   virtual void start_coin(Context& ctx, std::uint32_t instance,
                           std::uint32_t round) = 0;
+  // Instance `instance` entered round `round` (kSvss mode).  A host that
+  // saw peers deal coin `round` before this point joins the coin now.
+  virtual void aba_entered_round(Context& ctx, std::uint32_t instance,
+                                 std::uint32_t round) {
+    (void)ctx;
+    (void)instance;
+    (void)round;
+  }
   virtual void aba_decided(Context& ctx, int value, std::uint32_t round,
                            std::uint32_t instance) = 0;
 };
@@ -83,6 +107,7 @@ class AbaSession {
   void on_coin(Context& ctx, std::uint32_t round, int bit);
 
   [[nodiscard]] std::uint32_t instance() const { return instance_; }
+  [[nodiscard]] CoinMode coin_mode() const { return mode_; }
 
   [[nodiscard]] bool decided() const { return decision_.has_value(); }
   [[nodiscard]] int decision() const { return *decision_; }
@@ -100,6 +125,7 @@ class AbaSession {
     std::size_t conf_senders = 0;
     bool conf_frozen = false;
     bool has_coin = false;
+    bool coin_requested = false;
   };
   [[nodiscard]] RoundSnapshot snapshot(std::uint32_t r) const;
 
@@ -116,7 +142,7 @@ class AbaSession {
     bool conf_frozen = false;
     int singleton[2] = {0, 0};  // frozen tally of CONF == {v}
     std::optional<int> coin;
-    bool coin_started = false;
+    bool coin_requested = false;
     bool advanced = false;
   };
 
@@ -124,7 +150,6 @@ class AbaSession {
   void enter_round(Context& ctx, std::uint32_t r);
   void send_est(Context& ctx, std::uint32_t r, int v);
   void decide(Context& ctx, int value);
-  void request_coin(Context& ctx, std::uint32_t r);
   Round& round_state(std::uint32_t r);
   [[nodiscard]] static std::optional<std::set<int>> decode_set(int code);
   [[nodiscard]] static int encode_set(const std::set<int>& s);

@@ -67,8 +67,10 @@ class CoinSession {
   CoinSession(CoinHost& host, std::uint32_t round, int self, int n, int t,
               std::uint32_t instance = 0);
 
-  // Deals this process's n secrets.  Idempotent; every honest process
-  // calls it when it enters the round.
+  // Deals this process's n secrets.  Idempotent.  Under agreement an
+  // honest process calls it when its own round needs the coin, or when a
+  // peer dealt this round and its instance has entered the round
+  // (aba/aba.hpp); standalone coin drivers call it directly.
   void start(Context& ctx);
 
   // Pre-filtered coin-layer broadcasts (kCoinGset / kCoinStartRecon).
@@ -80,6 +82,7 @@ class CoinSession {
 
   [[nodiscard]] std::uint32_t round() const { return round_; }
   [[nodiscard]] std::uint32_t instance() const { return instance_; }
+  [[nodiscard]] bool started() const { return started_; }
   [[nodiscard]] bool has_output() const { return output_.has_value(); }
   [[nodiscard]] int output() const { return *output_; }
 

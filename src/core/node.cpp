@@ -228,6 +228,7 @@ void Node::deliver_mw(Context& ctx, int sender, const Message& m,
     // before the session acts on the value.
     if (!dmm_.on_recon_value(ctx, sender, m.sid, m.a, m.vals[0])) return;
   }
+  if (m.sid.path == SessionPath::kMwInSvssCoin) on_coin_contact(ctx, m.sid);
   MwSvssSession& s = mw(ctx, m.sid);
   if (via_rb) {
     s.on_broadcast(ctx, sender, m);
@@ -239,6 +240,7 @@ void Node::deliver_mw(Context& ctx, int sender, const Message& m,
 void Node::deliver_svss(Context& ctx, int sender, const Message& m,
                         bool via_rb) {
   if (!dmm_.filter(ctx, sender, m, via_rb)) return;
+  if (m.sid.path == SessionPath::kSvssCoin) on_coin_contact(ctx, m.sid);
   SvssSession& s = svss(ctx, m.sid);
   if (via_rb) {
     s.on_broadcast(ctx, sender, m);
@@ -545,6 +547,30 @@ void Node::coin_output(Context& ctx, std::uint32_t instance,
 void Node::start_coin(Context& ctx, std::uint32_t instance,
                       std::uint32_t round) {
   coin(ctx, instance, round).start(ctx);
+}
+
+// Demand-driven dealing: a peer's coin-round traffic means some process
+// needs that coin.  Both the SVSS sessions and their nested MW children
+// carry round * kMaxN + attachee in the counter.
+void Node::on_coin_contact(Context& ctx, const SessionId& sid) {
+  const std::uint32_t round = sid.counter / kMaxN;
+  if (round < 1 || round >= kCoinRoundsPerInstance) return;
+  const CoinSession* c = find_coin(sid.instance, round);
+  if (c != nullptr && c->started()) return;
+  const AbaSession* a = aba(sid.instance);
+  if (a != nullptr && a->coin_mode() != CoinMode::kSvss) return;
+  if (a != nullptr && a->current_round() >= round) {
+    start_coin(ctx, sid.instance, round);
+  } else {
+    coin_contact_.insert(coin_key(sid.instance, round));  // join on entry
+  }
+}
+
+void Node::aba_entered_round(Context& ctx, std::uint32_t instance,
+                             std::uint32_t round) {
+  if (coin_contact_.erase(coin_key(instance, round)) != 0) {
+    start_coin(ctx, instance, round);
+  }
 }
 
 void Node::aba_decided(Context& ctx, int value, std::uint32_t round,

@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/flat_map.hpp"
 
@@ -151,6 +152,8 @@ class Node : public IProcess,
                          std::uint32_t round, bool open) override;
   void start_coin(Context& ctx, std::uint32_t instance,
                   std::uint32_t round) override;
+  void aba_entered_round(Context& ctx, std::uint32_t instance,
+                         std::uint32_t round) override;
   void aba_decided(Context& ctx, int value, std::uint32_t round,
                    std::uint32_t instance) override;
   void acs_start_aba(Context& ctx, std::uint32_t instance, int input) override;
@@ -180,6 +183,9 @@ class Node : public IProcess,
   bool open_vote_window();
   void close_vote_window(Context& ctx);
   AbaSession& aba_instance(std::uint32_t instance);
+  // DMM-accepted traffic of an SVSS-coin session: joins that coin round
+  // once the local agreement instance has entered it (see aba/aba.hpp).
+  void on_coin_contact(Context& ctx, const SessionId& sid);
   [[nodiscard]] bool sane_sid(const SessionId& sid) const;
 
   int self_;
@@ -199,6 +205,9 @@ class Node : public IProcess,
   FlatMap<SessionId, std::unique_ptr<SvssSession>, SessionIdHash> svss_;
   // Keyed by (instance << 32) | round.
   std::unordered_map<std::uint64_t, std::unique_ptr<CoinSession>> coins_;
+  // Coin rounds peers dealt before the local instance entered the round;
+  // joined by aba_entered_round.  Same key as coins_.
+  std::unordered_set<std::uint64_t> coin_contact_;
   std::unordered_map<std::uint32_t, std::unique_ptr<AbaSession>> abas_;
   std::unique_ptr<BenOrSession> benor_;
   std::unique_ptr<AcsSession> acs_;

@@ -1,9 +1,12 @@
 // Step-level unit tests for the agreement round machinery: BV-broadcast
 // thresholds, AUX justification, CONF tier rules, coin fallback, and
-// DECIDE aggregation — driven through a mock host.
+// DECIDE aggregation — driven through a mock host.  The last group drives
+// a real Node to pin how it joins SVSS coin rounds on peer contact.
 #include <gtest/gtest.h>
 
 #include "aba/aba.hpp"
+#include "coin/coin.hpp"
+#include "core/node.hpp"
 #include "sim/scheduler.hpp"
 
 namespace svss {
@@ -26,6 +29,10 @@ class MockAbaHost : public AbaHost {
   void start_coin(Context&, std::uint32_t instance,
                   std::uint32_t round) override {
     coin_requests.emplace_back(instance, round);
+  }
+  void aba_entered_round(Context&, std::uint32_t instance,
+                         std::uint32_t round) override {
+    entered.emplace_back(instance, round);
   }
   void aba_decided(Context&, int value, std::uint32_t round,
                    std::uint32_t instance) override {
@@ -51,6 +58,7 @@ class MockAbaHost : public AbaHost {
   std::vector<Message> broadcasts;
   std::vector<std::pair<int, Message>> directs;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> coin_requests;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> entered;
   std::optional<int> decided_value;
   std::uint32_t decided_round = 0;
   std::uint32_t decided_instance = 0;
@@ -78,35 +86,18 @@ struct AbaUnit : public ::testing::Test {
   MockAbaHost host;
 };
 
-TEST_F(AbaUnit, StartSendsEstAndRequestsCoin) {
+using RoundKey = std::pair<std::uint32_t, std::uint32_t>;
+
+TEST_F(AbaUnit, StartSendsEstWithoutRequestingSvssCoin) {
   Context ctx(engine, 0);
   AbaSession s(host, 0, kN, kT, CoinMode::kSvss, 0);
   s.start(ctx, 1);
   EXPECT_EQ(host.sent_values(0, 1), (std::vector<int>{1}));
-  ASSERT_EQ(host.coin_requests.size(), 1u);
-  EXPECT_EQ(host.coin_requests[0], (std::pair<std::uint32_t, std::uint32_t>{
-                                       0u, 1u}));  // instance 0, round 1
-}
-
-TEST_F(AbaUnit, InstanceNamespacesCoinRounds) {
-  Context ctx(engine, 0);
-  AbaSession s(host, 0, kN, kT, CoinMode::kSvss, 0, /*instance=*/3);
-  s.start(ctx, 0);
-  ASSERT_EQ(host.coin_requests.size(), 1u);
-  EXPECT_EQ(host.coin_requests[0],
-            (std::pair<std::uint32_t, std::uint32_t>{3u, 1u}));
-  // The instance id travels in the session id of every vote.
-  for (const auto& [to, m] : host.directs) {
-    EXPECT_EQ(m.sid.instance, 3u);
-    EXPECT_EQ(m.sid.counter, 0u);
-  }
-  // Coin results arrive as instance-local rounds (the host dispatches by
-  // instance); out-of-range rounds are ignored.
-  s.on_coin(ctx, 0, 1);
-  s.on_coin(ctx, kCoinRoundsPerInstance, 1);
-  EXPECT_FALSE(s.snapshot(1).has_coin);
-  s.on_coin(ctx, 1, 1);
-  EXPECT_TRUE(s.snapshot(1).has_coin);
+  // The SVSS coin is dealt on demand: entering a round only tells the
+  // host, it does not start the coin.
+  EXPECT_TRUE(host.coin_requests.empty());
+  EXPECT_EQ(host.entered, (std::vector<RoundKey>{{0u, 1u}}));
+  EXPECT_FALSE(s.snapshot(1).coin_requested);
 }
 
 TEST_F(AbaUnit, BvRelaysAtTPlusOneAndAcceptsAtTwoTPlusOne) {
@@ -194,6 +185,52 @@ TEST_F(AbaUnit, NoTierFallsBackToCoin) {
   EXPECT_EQ(s.current_round(), 2u);
 }
 
+TEST_F(AbaUnit, NoSvssCoinRequestWhenTierGivesEstimate) {
+  Context ctx(engine, 0);
+  AbaSession s(host, 0, kN, kT, CoinMode::kSvss, 0);
+  drive_to_conf(ctx, s, *this);
+  // t+1 = 2 singletons {1}: the estimate comes from the sample.
+  s.on_broadcast(ctx, 1, vote(1, 2, 2));
+  s.on_broadcast(ctx, 2, vote(1, 2, 2));
+  s.on_broadcast(ctx, 3, vote(1, 2, 3));
+  EXPECT_EQ(s.current_round(), 2u);
+  EXPECT_TRUE(host.coin_requests.empty());
+  EXPECT_FALSE(s.snapshot(1).coin_requested);
+  EXPECT_EQ(host.entered, (std::vector<RoundKey>{{0u, 1u}, {0u, 2u}}));
+}
+
+TEST_F(AbaUnit, FallThroughRequestsSvssCoinExactlyOnce) {
+  Context ctx(engine, 0);
+  AbaSession s(host, 0, kN, kT, CoinMode::kSvss, 0, /*instance=*/3);
+  drive_to_conf(ctx, s, *this);
+  EXPECT_TRUE(host.coin_requests.empty());  // sample not frozen yet
+  for (int from : {1, 2, 3}) s.on_broadcast(ctx, from, vote(1, 2, 3));
+  // No tier: exactly one request, namespaced by instance.
+  ASSERT_EQ(host.coin_requests.size(), 1u);
+  EXPECT_EQ(host.coin_requests[0], (RoundKey{3u, 1u}));
+  EXPECT_TRUE(s.snapshot(1).coin_requested);
+  // More round-1 traffic while waiting re-runs the tier rule, never the
+  // request.
+  s.on_broadcast(ctx, 0, vote(1, 2, 3));
+  s.on_direct(ctx, 1, vote(1, 0, 1));
+  EXPECT_EQ(host.coin_requests.size(), 1u);
+  EXPECT_EQ(s.current_round(), 1u);
+  // The instance id travels in the session id of every vote.
+  for (const auto& [to, m] : host.directs) {
+    EXPECT_EQ(m.sid.instance, 3u);
+    EXPECT_EQ(m.sid.counter, 0u);
+  }
+  // Coin results arrive as instance-local rounds (the host dispatches by
+  // instance); out-of-range rounds are ignored.
+  s.on_coin(ctx, 0, 1);
+  s.on_coin(ctx, kCoinRoundsPerInstance, 1);
+  EXPECT_FALSE(s.snapshot(1).has_coin);
+  s.on_coin(ctx, 1, 1);
+  EXPECT_TRUE(s.snapshot(1).has_coin);
+  EXPECT_EQ(s.current_round(), 2u);
+  EXPECT_EQ(host.coin_requests.size(), 1u);
+}
+
 TEST_F(AbaUnit, SvssCoinArrivingLateStillAdvances) {
   Context ctx(engine, 0);
   AbaSession s(host, 0, kN, kT, CoinMode::kSvss, 0);
@@ -231,12 +268,115 @@ TEST_F(AbaUnit, MalformedVotesIgnored) {
   EXPECT_EQ(snap.conf_senders, 0u);
 }
 
+// kLocal and kIdealCommon keep drawing their coin at round entry, and never
+// involve the host's coin hooks.
 TEST_F(AbaUnit, LocalCoinModeSuppliesCoinImmediately) {
   Context ctx(engine, 0);
   AbaSession s(host, 0, kN, kT, CoinMode::kLocal, 0);
   s.start(ctx, 0);
   EXPECT_TRUE(s.snapshot(1).has_coin);
   EXPECT_TRUE(host.coin_requests.empty());
+  EXPECT_TRUE(host.entered.empty());
+}
+
+TEST_F(AbaUnit, IdealCoinModeSuppliesCoinAtEveryRoundEntry) {
+  Context ctx(engine, 0);
+  AbaSession s(host, 0, kN, kT, CoinMode::kIdealCommon, 7, /*instance=*/2);
+  drive_to_conf(ctx, s, *this);
+  EXPECT_TRUE(s.snapshot(1).has_coin);
+  for (int from : {1, 2, 3}) s.on_broadcast(ctx, from, vote(1, 2, 3));
+  EXPECT_EQ(s.current_round(), 2u);
+  EXPECT_TRUE(s.snapshot(2).has_coin);
+  EXPECT_FALSE(s.snapshot(1).coin_requested);
+  EXPECT_TRUE(host.coin_requests.empty());
+  EXPECT_TRUE(host.entered.empty());
+}
+
+// ------------------------------------------------------------------
+// Node: joining an SVSS coin round on peer contact
+// ------------------------------------------------------------------
+struct CoinJoin : public AbaUnit {
+  // A direct message of peer 1's SVSS-coin session for (instance, round).
+  // The payload is malformed on purpose: contact is about the session id
+  // passing the DMM filter, not about the session accepting the message.
+  static Packet contact(std::uint32_t instance, std::uint32_t round) {
+    Message m;
+    m.sid = coin_svss_id(round, /*dealer=*/1, /*attachee=*/0, instance);
+    m.type = MsgType::kSvssDealerShares;
+    return make_direct(std::move(m));
+  }
+  // The same round reached through a nested MW-SVSS child of that session.
+  static Packet mw_contact(std::uint32_t instance, std::uint32_t round) {
+    SessionId parent = coin_svss_id(round, /*dealer=*/1, /*attachee=*/0,
+                                    instance);
+    Message m;
+    m.sid = SessionId{SessionPath::kMwInSvssCoin, 0, /*owner=*/1,
+                      /*moderator=*/2, parent.owner, parent.counter,
+                      instance};
+    m.type = MsgType::kMwDealerShares;
+    return make_direct(std::move(m));
+  }
+  static bool joined(const Node& node, std::uint32_t instance,
+                     std::uint32_t round) {
+    const CoinSession* c = node.find_coin(instance, round);
+    return c != nullptr && c->started();
+  }
+};
+
+TEST_F(CoinJoin, JoinsAtOnceWhenRoundAlreadyEntered) {
+  Context ctx(engine, 0);
+  Node node(0, kN, kT);
+  node.start_aba(ctx, 1, CoinMode::kSvss, 0, /*instance=*/5);
+  EXPECT_FALSE(joined(node, 5, 1));  // entering round 1 deals nothing
+  node.on_packet(ctx, 1, contact(5, 1));
+  EXPECT_TRUE(joined(node, 5, 1));
+  // Joining deals this process's n secrets for the round.
+  for (int j = 0; j < kN; ++j) {
+    EXPECT_NE(node.find_svss(coin_svss_id(1, 0, j, 5)), nullptr) << j;
+  }
+}
+
+TEST_F(CoinJoin, NestedMwTrafficCountsAsContact) {
+  Context ctx(engine, 0);
+  Node node(0, kN, kT);
+  node.start_aba(ctx, 1, CoinMode::kSvss);
+  node.on_packet(ctx, 1, mw_contact(0, 1));
+  EXPECT_TRUE(joined(node, 0, 1));
+}
+
+TEST_F(CoinJoin, EarlyContactJoinsOnRoundEntry) {
+  Context ctx(engine, 0);
+  Node node(0, kN, kT);
+  // Peers dealt coin round 1 of instance 2 before this process started
+  // the instance: remembered, not acted on.
+  node.on_packet(ctx, 1, contact(2, 1));
+  EXPECT_FALSE(joined(node, 2, 1));
+  node.start_aba(ctx, 0, CoinMode::kSvss, 0, /*instance=*/2);
+  EXPECT_TRUE(joined(node, 2, 1));
+}
+
+TEST_F(CoinJoin, ContactForUnenteredRoundStartsNothing) {
+  Context ctx(engine, 0);
+  Node node(0, kN, kT);
+  node.start_aba(ctx, 1, CoinMode::kSvss);
+  // A faulty peer cannot pull coins ahead of the agreement: rounds this
+  // instance has not entered, instances it never started, and round ids
+  // outside the instance's range deal nothing.
+  for (std::uint32_t r : {2u, 3u, 100u}) node.on_packet(ctx, 3, contact(0, r));
+  node.on_packet(ctx, 3, contact(9, 1));
+  node.on_packet(ctx, 3, contact(0, kCoinRoundsPerInstance));
+  for (std::uint32_t r : {2u, 3u, 100u}) EXPECT_FALSE(joined(node, 0, r)) << r;
+  EXPECT_FALSE(joined(node, 9, 1));
+  EXPECT_FALSE(joined(node, 0, kCoinRoundsPerInstance));
+  EXPECT_FALSE(joined(node, 0, 1));
+}
+
+TEST_F(CoinJoin, IdealCoinInstanceIgnoresContact) {
+  Context ctx(engine, 0);
+  Node node(0, kN, kT);
+  node.start_aba(ctx, 1, CoinMode::kIdealCommon, 7);
+  node.on_packet(ctx, 1, contact(0, 1));
+  EXPECT_FALSE(joined(node, 0, 1));
 }
 
 }  // namespace

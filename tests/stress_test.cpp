@@ -211,9 +211,9 @@ TEST(Stress, FullStackSweepN7) {
                      std::end(adversary::kAllStrategies)};
   spec.schedulers = {SchedulerKind::kFifo, SchedulerKind::kRandom};
   // Seed list spans the input patterns (seed mod 4): two mixed-input
-  // seeds for adversarial coin pressure, one all-0 and one all-1 seed so
-  // the validity counter is falsifiable.
-  spec.seeds = {60, 61, 62, 63};
+  // seeds whose random schedule falls through to the coin, one all-0 and
+  // one all-1 seed so the validity counter is falsifiable.
+  spec.seeds = {60, 65, 62, 63};
   spec.max_deliveries = 200'000'000;
   auto report = sweep::run_aba_termination_sweep(spec);
   EXPECT_EQ(report.safety_violations, 0) << report.to_json();
@@ -223,7 +223,12 @@ TEST(Stress, FullStackSweepN7) {
     EXPECT_GT(report.attacked_count(strategy), 0)
         << adversary::strategy_name(strategy) << " never attacked:\n"
         << report.to_json();
+    EXPECT_GT(report.coin_attacked_count(strategy), 0)
+        << adversary::strategy_name(strategy)
+        << " never attacked a coin an honest process requested:\n"
+        << report.to_json();
   }
+  EXPECT_EQ(report.attacked_without_coin, 0) << report.to_json();
   sweep::maybe_write_report(report, "stress-full-stack-n7");
 }
 

@@ -97,6 +97,20 @@ inline InputPattern pattern_for_seed(std::uint64_t seed) {
   }
 }
 
+// Whether every deviation of `kind` in an agreement run targets the
+// coin's VSS traffic.  The split-brain strategies also equivocate
+// agreement votes from round 1, which needs no coin; the others can only
+// attack once some coin round was dealt.
+inline bool attacks_only_coin(adversary::StrategyKind kind) {
+  switch (kind) {
+    case adversary::StrategyKind::kEquivocatingDealer:
+    case adversary::StrategyKind::kEquivocatingAcsProposer:
+      return false;
+    default:
+      return true;
+  }
+}
+
 struct CellResult {
   int n = 0;
   int t = 0;
@@ -111,6 +125,11 @@ struct CellResult {
   bool agreed = false;
   bool valid = false;      // decision justified by some honest input
   bool attacked = false;   // the strategy observably deviated (non-vacuity)
+  // Some honest agreement fell through to the SVSS coin, and some honest
+  // process output a coin.  The coin is dealt only on demand, so an
+  // attack on the coin's VSS is only meaningful in cells where both hold.
+  bool coin_requested = false;
+  bool coin_output = false;
   std::uint32_t rounds = 0;
   std::uint64_t deliveries = 0;
 };
@@ -121,6 +140,11 @@ struct SweepReport {
   int safety_violations = 0;  // agreement or validity broken
   int undecided_runs = 0;     // quiescent but some honest process undecided
   int vacuous_runs = 0;       // adversary never emitted a deviation
+  // SVSS-coin cells whose adversary attacked although no honest process
+  // requested and output a coin: the attack hit nothing the agreement
+  // used.  Counted for strategies that only attack the coin's VSS traffic
+  // (see attacks_only_coin).
+  int attacked_without_coin = 0;
 
   [[nodiscard]] int total() const { return static_cast<int>(cells.size()); }
 
@@ -137,12 +161,31 @@ struct SweepReport {
     return count;
   }
 
+  // Cells in which `kind` attacked while some honest agreement requested
+  // the SVSS coin and some honest process output it: the attack met a coin
+  // the agreement actually used.
+  [[nodiscard]] int coin_attacked_count(adversary::StrategyKind kind) const {
+    int count = 0;
+    for (const CellResult& c : cells) {
+      if (c.strategy == kind && c.attacked && c.mode == CoinMode::kSvss &&
+          c.coin_requested && c.coin_output) {
+        ++count;
+      }
+    }
+    return count;
+  }
+
   void add(const CellResult& c) {
     cells.push_back(c);
     if (c.capped) ++capped_runs;
     if (c.all_decided && !(c.agreed && c.valid)) ++safety_violations;
     if (!c.capped && !c.all_decided) ++undecided_runs;
     if (!c.attacked) ++vacuous_runs;
+    if (c.attacked && c.mode == CoinMode::kSvss &&
+        attacks_only_coin(c.strategy) &&
+        !(c.coin_requested && c.coin_output)) {
+      ++attacked_without_coin;
+    }
   }
 
   [[nodiscard]] std::string to_json() const {
@@ -153,7 +196,10 @@ struct SweepReport {
                       ",\n  \"undecided_runs\": " +
                       std::to_string(undecided_runs) +
                       ",\n  \"vacuous_runs\": " +
-                      std::to_string(vacuous_runs) + ",\n  \"cells\": [\n";
+                      std::to_string(vacuous_runs) +
+                      ",\n  \"attacked_without_coin\": " +
+                      std::to_string(attacked_without_coin) +
+                      ",\n  \"cells\": [\n";
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const CellResult& c = cells[i];
       out += std::string("    {\"n\": ") + std::to_string(c.n) +
@@ -170,6 +216,10 @@ struct SweepReport {
              ", \"agreed\": " + (c.agreed ? "true" : "false") +
              ", \"valid\": " + (c.valid ? "true" : "false") +
              ", \"attacked\": " + (c.attacked ? "true" : "false") +
+             ", \"coin_only\": " +
+             (attacks_only_coin(c.strategy) ? "true" : "false") +
+             ", \"coin_requested\": " + (c.coin_requested ? "true" : "false") +
+             ", \"coin_output\": " + (c.coin_output ? "true" : "false") +
              ", \"rounds\": " + std::to_string(c.rounds) +
              ", \"deliveries\": " + std::to_string(c.deliveries) + "}";
       out += i + 1 < cells.size() ? ",\n" : "\n";
@@ -261,6 +311,18 @@ inline CellResult run_aba_cell(int n, adversary::StrategyKind strategy,
     const StrategyStats& st = r.adversary(i)->stats();
     if (st.forked + st.mutated + st.withheld > 0 || st.adapted) {
       cell.attacked = true;
+    }
+  }
+  for (int i : r.honest_ids()) {
+    const AbaSession* a = r.node(i).aba();
+    for (std::uint32_t round = 1; a != nullptr && round <= a->current_round();
+         ++round) {
+      if (a->snapshot(round).coin_requested) cell.coin_requested = true;
+    }
+  }
+  for (const Event& e : r.engine().log().events()) {
+    if (e.kind == EventKind::kCoinOutput && r.is_honest(e.who)) {
+      cell.coin_output = true;
     }
   }
   return cell;
