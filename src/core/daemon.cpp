@@ -97,7 +97,12 @@ bool LoopbackCluster::run(const std::function<bool(const Node&)>& pred,
           [&] {
             if (!counted && pred(d.node())) {
               counted = true;
-              done_count.fetch_add(1, std::memory_order_acq_rel);
+              // The last honest finisher wakes every endpoint, so no
+              // thread waits out its poll tick to see the cluster done.
+              if (done_count.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+                  waited) {
+                for (auto& peer : transports_) peer->wake();
+              }
             }
             // Linger after finishing so this endpoint keeps relaying RB
             // traffic its peers still need.

@@ -7,12 +7,14 @@
 // Runner's socket-loopback mode builds n of them in one process.
 //
 // LoopbackCluster hosts n NodeDaemons over real TCP on 127.0.0.1, one
-// thread per endpoint.  Thread discipline is strict confinement: every
-// daemon + transport pair is touched by exactly one worker thread between
+// thread per endpoint.  Thread discipline is confinement: every daemon +
+// transport pair is driven by exactly one worker thread between
 // construction (main thread, before the workers start) and join (main
-// thread, after) — the only cross-thread channels are the sockets and one
-// atomic completion counter, which is what keeps the -fsanitize=thread CI
-// lane clean.
+// thread, after).  The cross-thread channels are the sockets, one atomic
+// completion counter, and SocketTransport::wake(), which the worker that
+// completes the counter calls on every endpoint; wake() touches only an
+// eventfd fixed before the workers start.  That keeps the
+// -fsanitize=thread CI lane clean.
 #pragma once
 
 #include <atomic>
@@ -74,7 +76,10 @@ class LoopbackCluster {
   // Drives all n endpoints on their own threads until every slot for which
   // `honest` holds satisfies `pred` (or the timeout).  A satisfied slot
   // keeps polling until the whole cluster is done, so late RB relays still
-  // flow.  Returns true iff all honest slots finished in time.
+  // flow.  The slot that completes the cluster wakes every endpoint, so
+  // all threads (faulty slots included) return within a syscall of the
+  // last honest finish, not at their next poll tick.  Returns true iff all
+  // honest slots finished in time.
   bool run(const std::function<bool(const Node&)>& pred,
            const std::function<bool(int)>& honest);
 

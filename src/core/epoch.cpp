@@ -477,8 +477,12 @@ EpochsResult run_epochs_loopback(const RunnerConfig& cfg,
           boundary[static_cast<std::size_t>(g) * epochs + e] = 1;
         }
         // Linger until every live member finished this epoch, then let
-        // the daemon (and its sink) go.
-        done[e].fetch_add(1, std::memory_order_acq_rel);
+        // the daemon (and its sink) go.  The member completing the epoch
+        // wakes every endpoint so the lingerers see it at once.
+        if (done[e].fetch_add(1, std::memory_order_acq_rel) + 1 ==
+            expected[e]) {
+          for (auto& peer : transports) peer->wake();
+        }
         tr.run_until(
             [&] {
               return done[e].load(std::memory_order_acquire) >= expected[e];

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -42,7 +43,9 @@ namespace {
 // Reconnect backoff ceiling (the 100ms-doubling ladder tops out here).
 constexpr int kMaxBackoffMs = 2000;
 
-// epoll_event.data.u64 tag: role in the high bits, index in the low.
+// epoll_event.data.u64 tag: role in the high bits, index in the low.  The
+// wake eventfd is the one registration with tag value 0.
+constexpr std::uint64_t kTagWake = 0;
 constexpr std::uint64_t kTagListen = 1ull << 62;
 constexpr std::uint64_t kTagOut = 2ull << 62;
 constexpr std::uint64_t kTagIn = 3ull << 62;
@@ -61,6 +64,19 @@ void set_nodelay(int fd) {
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+// Inbound connections are read-only, so closing one with RST instead of
+// FIN loses nothing the peer could still receive (unread bytes are lost
+// either way).  It keeps the closing side out of TIME_WAIT: a graceful
+// close parks a TIME_WAIT socket on this endpoint's listening port for
+// 60 s, and clusters rebuilt back to back pile enough of them onto the
+// ephemeral range to make every later bind(port 0) search for a port.
+void set_abortive_close(int fd) {
+  linger lg{};
+  lg.l_onoff = 1;
+  lg.l_linger = 0;
+  setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+}
+
 }  // namespace
 
 SocketTransport::SocketTransport(int self, ClusterConfig cfg)
@@ -75,12 +91,19 @@ SocketTransport::~SocketTransport() {
     if (c.fd >= 0) ::close(c.fd);
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
+  if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epfd_ >= 0) ::close(epfd_);
 }
 
 bool SocketTransport::open() {
   epfd_ = epoll_create1(0);
   if (epfd_ < 0) return false;
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) return false;
+  epoll_event wev{};
+  wev.events = EPOLLIN;
+  wev.data.u64 = kTagWake;
+  if (epoll_ctl(epfd_, EPOLL_CTL_ADD, wake_fd_, &wev) < 0) return false;
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (listen_fd_ < 0) return false;
   int one = 1;
@@ -106,6 +129,13 @@ bool SocketTransport::open() {
     out_[static_cast<std::size_t>(p)].next_attempt = Clock::now();
   }
   return true;
+}
+
+void SocketTransport::wake() {
+  // Counter overflow (EAGAIN) still leaves the fd readable, so a failed
+  // write loses nothing.
+  std::uint64_t one = 1;
+  [[maybe_unused]] ssize_t wrote = ::write(wake_fd_, &one, sizeof(one));
 }
 
 void SocketTransport::set_peer(int id, Endpoint ep) {
@@ -367,6 +397,7 @@ void SocketTransport::handle_accept() {
     int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
     if (fd < 0) return;  // EAGAIN or transient error: accept again later
     set_nodelay(fd);
+    set_abortive_close(fd);
     std::size_t idx = in_.size();
     for (std::size_t i = 0; i < in_.size(); ++i) {
       if (in_[i].fd < 0) {
@@ -507,7 +538,11 @@ void SocketTransport::poll(int wait_ms) {
   for (int i = 0; i < k; ++i) {
     std::uint64_t tag = evs[i].data.u64 & kTagMask;
     auto idx = evs[i].data.u64 & ~kTagMask;
-    if (tag == kTagListen) {
+    if (evs[i].data.u64 == kTagWake) {
+      // One read resets the counter: any number of wakes cost one event.
+      std::uint64_t count = 0;
+      [[maybe_unused]] ssize_t got = ::read(wake_fd_, &count, sizeof(count));
+    } else if (tag == kTagListen) {
       handle_accept();
     } else if (tag == kTagOut) {
       int peer = static_cast<int>(idx);

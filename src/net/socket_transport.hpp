@@ -5,16 +5,20 @@
 // *dials* every peer; the dialing side's connection carries its outbound
 // traffic (after a HELLO frame identifying the dialer), and accepted
 // connections are read-only inbound.  Using one direction per ordered pair
-// sidesteps simultaneous-open dedup entirely.
+// sidesteps simultaneous-open dedup entirely.  Inbound connections close
+// with RST, not FIN: the reader has nothing left to send, and a torn-down
+// endpoint then leaves no TIME_WAIT socket behind on its listening port.
 //
-// The loop is epoll-based and strictly single-threaded: one thread owns
-// one transport and drives poll()/run_until(); send() may only be called
-// from that thread (typically from inside the delivery sink — exactly how
-// Node reacts to packets).  Outbound frames buffer per peer and survive
-// reconnects: a dial that fails retries with exponential backoff
-// (100ms doubling to 2s), and everything not yet written flushes once the
-// connection lands.  Self-sends go through a local queue drained by the
-// poll loop, so a delivery cascade cannot recurse.
+// The loop is epoll-based and single-threaded: one thread owns one
+// transport and drives poll()/run_until(); send() may only be called from
+// that thread (typically from inside the delivery sink — exactly how Node
+// reacts to packets).  The one exception is wake(), which any thread may
+// call to cut the owner's current epoll wait short.  Outbound frames
+// buffer per peer and survive reconnects: a dial that fails retries with
+// exponential backoff (100ms doubling to 2s), and everything not yet
+// written flushes once the connection lands.  Self-sends go through a
+// local queue drained by the poll loop, so a delivery cascade cannot
+// recurse.
 //
 // Metering matches the sim engine byte-for-byte where it can: every sent
 // packet is counted at Packet::wire_size() with per-type attribution
@@ -65,8 +69,17 @@ class SocketTransport final : public ITransport {
 
   // --- lifecycle ---
   // Binds the listener (port 0 = kernel-assigned) and creates the epoll
-  // instance.  Returns false on any socket-level failure.
+  // instance and its wake eventfd.  Returns false on any socket-level
+  // failure.
   bool open();
+  // The one member safe to call from a thread other than the owner's: it
+  // touches only the eventfd, fixed by open() and closed only by the
+  // destructor, so a wake that races shutdown() is harmless.  The owner's
+  // pending or next poll() returns at once; wakes issued before that poll
+  // coalesce into one.  Cross-thread completion (LoopbackCluster,
+  // run_epochs_loopback) uses it so a worker re-checks a shared predicate
+  // the moment it flips instead of at its next tick.
+  void wake();
   [[nodiscard]] std::uint16_t bound_port() const { return bound_port_; }
   // Replaces a peer's endpoint before dialing starts (loopback clusters
   // learn kernel-assigned ports only after every listener is open).
@@ -93,7 +106,10 @@ class SocketTransport final : public ITransport {
   // `wait_ms` for readiness, processes events, drains local deliveries.
   void poll(int wait_ms);
   // Drives poll() until done(), `timeout_ms` elapsed, or stop_requested();
-  // true iff done().
+  // true iff done().  done() is re-checked after every poll(): a predicate
+  // another thread flips must be followed by wake().  Each poll waits at
+  // most 50 ms, a backstop that only bounds how late the deadline and the
+  // stop flag are noticed.
   bool run_until(const std::function<bool()>& done, int timeout_ms);
   // Clean teardown: best-effort flush of pending outbound frames, then
   // closes the listener and every connection.  After shutdown() the
@@ -154,6 +170,7 @@ class SocketTransport final : public ITransport {
 
   std::size_t out_buf_cap_ = std::size_t{16} << 20;  // per peer
   int epfd_ = -1;
+  int wake_fd_ = -1;  // eventfd behind wake(); lives until the destructor
   int listen_fd_ = -1;
   bool closed_ = false;                   // shutdown() latched
   std::uint16_t bound_port_ = 0;

@@ -285,10 +285,16 @@ TEST(Stress, ScheduleSearchEmitsCorpusCandidates) {
   sw.max_deliveries = spec.max_deliveries;
   sw.scheduler_factory = search::make_genome_factory(result.best.genome);
   sw.scheduler_label = "genome-best";
+  // The search scored the genome under mixed inputs (run_search_cell);
+  // the seeds alone would map 11/22 to unanimous inputs, which decide on
+  // votes and never reach the coin the genome was found attacking.
+  sw.pattern = sweep::InputPattern::kMixed;
   auto report = sweep::run_aba_termination_sweep(sw);
   EXPECT_EQ(report.safety_violations, 0) << report.to_json();
   EXPECT_EQ(report.capped_runs, 0) << report.to_json();
   EXPECT_EQ(report.undecided_runs, 0) << report.to_json();
+  EXPECT_GT(report.coin_attacked_count(spec.strategy), 0) << report.to_json();
+  EXPECT_EQ(report.attacked_without_coin, 0) << report.to_json();
   sweep::maybe_write_report(report, "stress-schedule-search");
 }
 

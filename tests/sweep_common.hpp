@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -44,30 +45,6 @@ inline const char* scheduler_name(SchedulerKind kind) {
   }
   return "unknown";
 }
-
-struct SweepSpec {
-  std::vector<int> ns;  // t = (n-1)/3, and t slots host the strategy
-  std::vector<adversary::StrategyKind> strategies;
-  std::vector<SchedulerKind> schedulers;
-  std::vector<std::uint64_t> seeds;
-  // The full SVSS-coin stack runs where it is affordable; larger n fall
-  // back to the ideal-coin abstraction (same convention as bench_aba's E6:
-  // the SCC itself is exercised at small n, the agreement skeleton at
-  // scale).
-  int full_stack_max_n = 4;
-  std::uint64_t max_deliveries = 20'000'000;
-  // Optional per-cell config mutation (mixed-fleet framing overrides and
-  // the like), applied after the base fields and before the strategy is
-  // installed.
-  std::function<void(RunnerConfig&)> configure;
-  // Optional custom schedule: when set, every cell runs under this factory
-  // instead of the SchedulerKind axis (set `schedulers` to a single
-  // placeholder kind), and report rows carry `scheduler_label` so
-  // search-found genome schedules (src/search/) are distinguishable from
-  // the fixed catalogue in sweep artifacts.
-  SchedulerFactory scheduler_factory;
-  std::string scheduler_label;
-};
 
 // Honest-input pattern of one cell.  Mixed inputs exercise the coin path
 // (any decision is valid, so only agreement/termination can fail there);
@@ -96,6 +73,34 @@ inline InputPattern pattern_for_seed(std::uint64_t seed) {
     default: return InputPattern::kMixed;
   }
 }
+
+struct SweepSpec {
+  std::vector<int> ns;  // t = (n-1)/3, and t slots host the strategy
+  std::vector<adversary::StrategyKind> strategies;
+  std::vector<SchedulerKind> schedulers;
+  std::vector<std::uint64_t> seeds;
+  // The full SVSS-coin stack runs where it is affordable; larger n fall
+  // back to the ideal-coin abstraction (same convention as bench_aba's E6:
+  // the SCC itself is exercised at small n, the agreement skeleton at
+  // scale).
+  int full_stack_max_n = 4;
+  std::uint64_t max_deliveries = 20'000'000;
+  // Optional per-cell config mutation (mixed-fleet framing overrides and
+  // the like), applied after the base fields and before the strategy is
+  // installed.
+  std::function<void(RunnerConfig&)> configure;
+  // Optional custom schedule: when set, every cell runs under this factory
+  // instead of the SchedulerKind axis (set `schedulers` to a single
+  // placeholder kind), and report rows carry `scheduler_label` so
+  // search-found genome schedules (src/search/) are distinguishable from
+  // the fixed catalogue in sweep artifacts.
+  SchedulerFactory scheduler_factory;
+  std::string scheduler_label;
+  // Optional honest-input pattern for every cell instead of the
+  // seed-derived one: a row replaying a search-found schedule runs the
+  // inputs the search scored it under.
+  std::optional<InputPattern> pattern;
+};
 
 // Whether every deviation of `kind` in an agreement run targets the
 // coin's VSS traffic.  The split-brain strategies also equivocate
@@ -246,7 +251,7 @@ inline CellResult run_aba_cell(int n, adversary::StrategyKind strategy,
   cell.strategy = strategy;
   cell.scheduler = scheduler;
   cell.seed = seed;
-  cell.pattern = pattern_for_seed(seed);
+  cell.pattern = spec.pattern.value_or(pattern_for_seed(seed));
   cell.mode = n <= spec.full_stack_max_n ? CoinMode::kSvss
                                          : CoinMode::kIdealCommon;
 
