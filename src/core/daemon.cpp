@@ -1,5 +1,6 @@
 #include "core/daemon.hpp"
 
+#include <atomic>
 #include <stdexcept>
 #include <thread>
 
@@ -31,6 +32,23 @@ NodeDaemon::NodeDaemon(int self, int n, int t, std::uint64_t seed,
 void NodeDaemon::start() {
   Context ctx(world_);
   node_.start(ctx);
+}
+
+// ----------------------------------------------------------------------
+// SimCluster
+// ----------------------------------------------------------------------
+
+RunStatus SimCluster::run_until(const std::function<bool(int)>& done,
+                                std::vector<int> waited) {
+  // done() runs after *every* delivery, so it must be cheap.  It is
+  // monotone, so satisfied slots drop off the waiting list and the typical
+  // per-delivery cost is one predicate call, not a scan of every slot.
+  return engine_.run_until(
+      [&done, &waited] {
+        while (!waited.empty() && done(waited.back())) waited.pop_back();
+        return waited.empty();
+      },
+      max_deliveries_);
 }
 
 // ----------------------------------------------------------------------
@@ -77,55 +95,69 @@ LoopbackCluster::LoopbackCluster(LoopbackOptions opts)
 
 LoopbackCluster::~LoopbackCluster() = default;
 
-bool LoopbackCluster::run(const std::function<bool(const Node&)>& pred,
-                          const std::function<bool(int)>& honest) {
-  int waited = 0;
-  for (int i = 0; i < opts_.n; ++i) {
-    if (honest(i)) ++waited;
-  }
+RunStatus LoopbackCluster::run_until(const std::function<bool(int)>& done,
+                                     std::vector<int> waited) {
+  std::vector<char> counted(static_cast<std::size_t>(opts_.n), 1);
+  for (int i : waited) counted[static_cast<std::size_t>(i)] = 0;
+  const int need = static_cast<int>(waited.size());
+  const bool start = !started_;
   std::atomic<int> done_count{0};
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(opts_.n));
   for (int i = 0; i < opts_.n; ++i) {
-    threads.emplace_back([this, i, &pred, &honest, &done_count, waited] {
-      NodeDaemon& d = *daemons_[static_cast<std::size_t>(i)];
-      net::SocketTransport& tr = *transports_[static_cast<std::size_t>(i)];
-      d.start();
-      bool counted = !honest(i);  // faulty slots are never waited on
-      if (counted && waited == 0) return;
-      tr.run_until(
+    threads.emplace_back([this, i, start, need, &done, &counted,
+                          &done_count] {
+      if (start) daemons_[static_cast<std::size_t>(i)]->start();
+      bool is_counted = counted[static_cast<std::size_t>(i)] != 0;
+      transports_[static_cast<std::size_t>(i)]->run_until(
           [&] {
-            if (!counted && pred(d.node())) {
-              counted = true;
-              // The last honest finisher wakes every endpoint, so no
-              // thread waits out its poll tick to see the cluster done.
+            if (!is_counted && done(i)) {
+              is_counted = true;
+              // The last finisher wakes every endpoint, so no thread
+              // waits out its poll tick to see the cluster done.
               if (done_count.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-                  waited) {
+                  need) {
                 for (auto& peer : transports_) peer->wake();
               }
             }
             // Linger after finishing so this endpoint keeps relaying RB
             // traffic its peers still need.
-            return done_count.load(std::memory_order_acquire) >= waited;
+            return done_count.load(std::memory_order_acquire) >= need;
           },
           opts_.timeout_ms);
     });
   }
   for (auto& th : threads) th.join();
-  return done_count.load(std::memory_order_acquire) >= waited;
+  started_ = true;
+  if (done_count.load(std::memory_order_acquire) >= need) {
+    return RunStatus::kQuiescent;
+  }
+  capped_ = true;
+  return RunStatus::kDeliveryCap;
 }
 
-EventLog LoopbackCluster::merged_log() const {
-  EventLog out;
-  for (const auto& d : daemons_) {
-    for (const Event& e : d->world().log.events()) out.record(e);
+bool LoopbackCluster::run(const std::function<bool(const Node&)>& pred,
+                          const std::function<bool(int)>& honest) {
+  std::vector<int> waited;
+  for (int i = 0; i < opts_.n; ++i) {
+    if (honest(i)) waited.push_back(i);
   }
-  return out;
+  return run_until([this, &pred](int i) { return pred(node(i)); },
+                   std::move(waited)) == RunStatus::kQuiescent;
+}
+
+const EventLog& LoopbackCluster::merged_log() const {
+  log_ = EventLog{};
+  for (const auto& d : daemons_) {
+    for (const Event& e : d->world().log.events()) log_.record(e);
+  }
+  return log_;
 }
 
 Metrics LoopbackCluster::merged_metrics() const {
   Metrics out;
   for (const auto& tr : transports_) out.merge(tr->metrics());
+  out.capped = out.capped || capped_;
   return out;
 }
 

@@ -1,14 +1,10 @@
 #include "core/epoch.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 
-#include "core/daemon.hpp"
 #include "core/runner.hpp"
-#include "sim/engine.hpp"
 
 namespace svss {
 
@@ -235,20 +231,30 @@ void finish_epoch_result(EpochsResult::PerEpoch& pe,
 }  // namespace
 
 // ----------------------------------------------------------------------
-// Sim backend
+// Runner::run_epochs — one driver for both backends.  The main thread
+// sequences the script: per epoch it installs the config on every port,
+// builds a fresh NodeDaemon per live member over its EpochTransport, and
+// runs the epoch's instances, then its boundary, as one cluster run each
+// over the live members; non-members and crashed slots keep delivering
+// uncounted.  A member crashed at a boundary goes silent: its port is
+// detached and never installed again.
 // ----------------------------------------------------------------------
 
-EpochsResult run_epochs_sim(Engine& engine, const RunnerConfig& cfg,
-                            const std::vector<EpochPlan>& script,
-                            CoinMode mode) {
-  validate_script(cfg, script);
+EpochsResult Runner::run_epochs(const std::vector<EpochPlan>& script,
+                                CoinMode mode) {
+  if (!cfg_.faults.empty() || !cfg_.adversaries.empty()) {
+    throw std::invalid_argument(
+        "run_epochs: faults/adversaries unsupported; crash members via "
+        "EpochPlan::crash_at_boundary");
+  }
+  validate_script(cfg_, script);
   const auto live = live_members(script);
-  const int universe = cfg.n;
+  const auto universe = static_cast<std::size_t>(cfg_.n);
 
   std::vector<std::unique_ptr<EpochTransport>> ports;
-  ports.reserve(static_cast<std::size_t>(universe));
-  for (int g = 0; g < universe; ++g) {
-    ports.push_back(std::make_unique<EpochTransport>(engine.transport(g),
+  ports.reserve(universe);
+  for (int g = 0; g < cfg_.n; ++g) {
+    ports.push_back(std::make_unique<EpochTransport>(cluster_->transport(g),
                                                      script[0].config));
   }
 
@@ -257,49 +263,45 @@ EpochsResult run_epochs_sim(Engine& engine, const RunnerConfig& cfg,
   std::set<int> dead;
   for (std::size_t e = 0; e < script.size(); ++e) {
     const EpochPlan& plan = script[e];
-    for (int g = 0; g < universe; ++g) {
+    for (int g = 0; g < cfg_.n; ++g) {
       if (dead.count(g) == 0) ports[static_cast<std::size_t>(g)]->install(
           plan.config);
     }
-    std::map<int, std::unique_ptr<NodeDaemon>> daemons;  // by global id
+    std::vector<std::unique_ptr<NodeDaemon>> daemons(universe);  // by global
     for (int g : live[e]) {
       int rank = plan.config.rank_of(g);
-      daemons[g] = std::make_unique<NodeDaemon>(
+      daemons[static_cast<std::size_t>(g)] = std::make_unique<NodeDaemon>(
           rank, plan.config.n(), plan.config.t,
-          epoch_seed(cfg.seed, plan.config.epoch),
-          *ports[static_cast<std::size_t>(g)], cfg.transport);
+          epoch_seed(cfg_.seed, plan.config.epoch),
+          *ports[static_cast<std::size_t>(g)], cfg_.transport);
       ports[static_cast<std::size_t>(g)]->flush_buffered();
     }
+    auto member = [&daemons](int g) -> Node& {
+      return daemons[static_cast<std::size_t>(g)]->node();
+    };
     std::uint64_t coin_seed =
-        epoch_seed(cfg.seed ^ 0xC01Full, plan.config.epoch);
+        epoch_seed(cfg_.seed ^ 0xC01Full, plan.config.epoch);
     for (int g : live[e]) {
       int rank = plan.config.rank_of(g);
-      Context c(daemons[g]->world());
+      Context c(daemons[static_cast<std::size_t>(g)]->world());
       for (const auto& [inst, inputs] : plan.instances) {
-        daemons[g]->node().start_aba(
-            c, inputs[static_cast<std::size_t>(rank)], mode, coin_seed,
-            inst);
+        member(g).start_aba(c, inputs[static_cast<std::size_t>(rank)], mode,
+                            coin_seed, inst);
       }
     }
-    auto everyone_decided = [&](std::uint32_t inst) {
-      for (int g : live[e]) {
-        if (!node_decided(daemons[g]->node(), inst)) return false;
-      }
-      return true;
-    };
-    engine.run_until(
-        [&] {
+    run_slots(
+        [&](int g) {
           for (const auto& [inst, inputs] : plan.instances) {
-            if (!everyone_decided(inst)) return false;
+            if (!node_decided(member(g), inst)) return false;
           }
           return true;
         },
-        cfg.max_deliveries);
+        live[e]);
 
     EpochsResult::PerEpoch pe;
     for (const auto& [inst, inputs] : plan.instances) {
       for (int g : live[e]) {
-        const AbaSession* a = daemons[g]->node().aba(inst);
+        const AbaSession* a = member(g).aba(inst);
         if (a != nullptr && a->decided()) {
           pe.decisions[inst].emplace(g, a->decision());
         } else {
@@ -309,19 +311,21 @@ EpochsResult run_epochs_sim(Engine& engine, const RunnerConfig& cfg,
     }
     finish_epoch_result(pe, live[e]);
 
+    pe.boundary_decided = true;
     if (e + 1 < script.size()) {
       // The agreed boundary: drain done, now close the epoch.
       for (int g : live[e]) {
-        Context c(daemons[g]->world());
-        daemons[g]->node().start_aba(c, 1, mode, coin_seed,
-                                     kEpochBoundaryInstance);
+        Context c(daemons[static_cast<std::size_t>(g)]->world());
+        member(g).start_aba(c, 1, mode, coin_seed, kEpochBoundaryInstance);
       }
-      engine.run_until([&] { return everyone_decided(kEpochBoundaryInstance); },
-                       cfg.max_deliveries);
-      pe.boundary_decided = everyone_decided(kEpochBoundaryInstance);
+      auto closed = [&](int g) {
+        return node_decided(member(g), kEpochBoundaryInstance);
+      };
+      run_slots(closed, live[e]);
+      for (int g : live[e]) {
+        if (!closed(g)) pe.boundary_decided = false;
+      }
       if (!pe.boundary_decided) res.all_decided = false;
-    } else {
-      pe.boundary_decided = true;
     }
     res.epochs.push_back(std::move(pe));
 
@@ -339,196 +343,11 @@ EpochsResult run_epochs_sim(Engine& engine, const RunnerConfig& cfg,
       res.agreed = false;
     }
   }
-  res.metrics = engine.metrics();
-  return res;
-}
-
-// ----------------------------------------------------------------------
-// Socket-loopback backend (one thread per universe endpoint, same
-// confinement discipline as LoopbackCluster)
-// ----------------------------------------------------------------------
-
-EpochsResult run_epochs_loopback(const RunnerConfig& cfg,
-                                 const std::vector<EpochPlan>& script,
-                                 CoinMode mode) {
-  validate_script(cfg, script);
-  const auto live = live_members(script);
-  const int universe = cfg.n;
-  const std::size_t epochs = script.size();
-  constexpr int kTimeoutMs = 60'000;
-
-  // Phase 1 (main thread): bind every listener, wire kernel-assigned
-  // ports, wrap each endpoint in its EpochTransport — all frozen before
-  // any worker starts.
-  net::ClusterConfig wild;
-  wild.peers.assign(static_cast<std::size_t>(universe), net::Endpoint{});
-  std::vector<std::unique_ptr<net::SocketTransport>> transports;
-  for (int g = 0; g < universe; ++g) {
-    auto tr = std::make_unique<net::SocketTransport>(g, wild);
-    if (!tr->open()) {
-      throw std::runtime_error("run_epochs: failed to bind listener");
-    }
-    transports.push_back(std::move(tr));
+  // The ports die with this scope; detach them from the cluster first.
+  for (int g = 0; g < cfg_.n; ++g) {
+    cluster_->transport(g).set_delivery(nullptr);
   }
-  for (int g = 0; g < universe; ++g) {
-    for (int p = 0; p < universe; ++p) {
-      transports[static_cast<std::size_t>(g)]->set_peer(
-          p, net::Endpoint{"127.0.0.1",
-                           transports[static_cast<std::size_t>(p)]
-                               ->bound_port()});
-    }
-  }
-  std::vector<std::unique_ptr<EpochTransport>> ports;
-  for (int g = 0; g < universe; ++g) {
-    ports.push_back(std::make_unique<EpochTransport>(
-        *transports[static_cast<std::size_t>(g)], script[0].config));
-  }
-
-  // Cross-thread state: per-epoch completion barriers (so every member
-  // lingers, relaying RB tails, until the whole epoch finished) and one
-  // failure latch.  Result slots are per-thread-disjoint.
-  std::unique_ptr<std::atomic<int>[]> done(new std::atomic<int>[epochs]);
-  std::vector<int> expected(epochs);
-  std::vector<char> is_live(static_cast<std::size_t>(universe) * epochs, 0);
-  for (std::size_t e = 0; e < epochs; ++e) {
-    done[e].store(0, std::memory_order_relaxed);
-    expected[e] = static_cast<int>(live[e].size());
-    for (int g : live[e]) {
-      is_live[static_cast<std::size_t>(g) * epochs + e] = 1;
-    }
-  }
-  std::vector<std::size_t> last_epoch(static_cast<std::size_t>(universe),
-                                      epochs);
-  for (int g = 0; g < universe; ++g) {
-    for (std::size_t e = 0; e < epochs; ++e) {
-      if (is_live[static_cast<std::size_t>(g) * epochs + e]) last_epoch[g] = e;
-    }
-  }
-  std::atomic<bool> failed{false};
-  // decisions[g][e][instance]; boundary[g*epochs + e].
-  std::vector<std::vector<std::map<std::uint32_t, int>>> decisions(
-      static_cast<std::size_t>(universe),
-      std::vector<std::map<std::uint32_t, int>>(epochs));
-  std::vector<char> boundary(static_cast<std::size_t>(universe) * epochs, 0);
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(universe));
-  for (int g = 0; g < universe; ++g) {
-    threads.emplace_back([&, g] {
-      net::SocketTransport& tr = *transports[static_cast<std::size_t>(g)];
-      EpochTransport& port = *ports[static_cast<std::size_t>(g)];
-      if (last_epoch[static_cast<std::size_t>(g)] == epochs) return;
-      for (std::size_t e = 0; e < epochs; ++e) {
-        const EpochPlan& plan = script[e];
-        port.set_delivery(nullptr);
-        port.install(plan.config);
-        if (!is_live[static_cast<std::size_t>(g) * epochs + e]) {
-          // Joiner waiting for its epoch: jump ahead; the future-epoch
-          // buffer at every peer absorbs the skew.
-          if (e >= last_epoch[static_cast<std::size_t>(g)]) return;
-          continue;
-        }
-        int rank = plan.config.rank_of(g);
-        NodeDaemon daemon(rank, plan.config.n(), plan.config.t,
-                          epoch_seed(cfg.seed, plan.config.epoch), port,
-                          cfg.transport);
-        port.flush_buffered();
-        std::uint64_t coin_seed =
-            epoch_seed(cfg.seed ^ 0xC01Full, plan.config.epoch);
-        {
-          Context c(daemon.world());
-          for (const auto& [inst, inputs] : plan.instances) {
-            daemon.node().start_aba(c,
-                                    inputs[static_cast<std::size_t>(rank)],
-                                    mode, coin_seed, inst);
-          }
-        }
-        bool ok = tr.run_until(
-            [&] {
-              for (const auto& [inst, inputs] : plan.instances) {
-                if (!node_decided(daemon.node(), inst)) return false;
-              }
-              return true;
-            },
-            kTimeoutMs);
-        if (!ok) failed.store(true, std::memory_order_release);
-        for (const auto& [inst, inputs] : plan.instances) {
-          const AbaSession* a = daemon.node().aba(inst);
-          if (a != nullptr && a->decided()) {
-            decisions[static_cast<std::size_t>(g)][e].emplace(inst,
-                                                              a->decision());
-          }
-        }
-        if (e + 1 < epochs) {
-          {
-            Context c(daemon.world());
-            daemon.node().start_aba(c, 1, mode, coin_seed,
-                                    kEpochBoundaryInstance);
-          }
-          ok = tr.run_until(
-              [&] {
-                return node_decided(daemon.node(), kEpochBoundaryInstance);
-              },
-              kTimeoutMs);
-          if (!ok) failed.store(true, std::memory_order_release);
-          boundary[static_cast<std::size_t>(g) * epochs + e] =
-              node_decided(daemon.node(), kEpochBoundaryInstance) ? 1 : 0;
-        } else {
-          boundary[static_cast<std::size_t>(g) * epochs + e] = 1;
-        }
-        // Linger until every live member finished this epoch, then let
-        // the daemon (and its sink) go.  The member completing the epoch
-        // wakes every endpoint so the lingerers see it at once.
-        if (done[e].fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            expected[e]) {
-          for (auto& peer : transports) peer->wake();
-        }
-        tr.run_until(
-            [&] {
-              return done[e].load(std::memory_order_acquire) >= expected[e];
-            },
-            kTimeoutMs);
-        port.set_delivery(nullptr);
-        if (plan.crash_at_boundary.count(g) != 0) {
-          tr.shutdown();  // crash exactly at the agreed boundary
-          return;
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  EpochsResult res;
-  res.all_decided = !failed.load(std::memory_order_acquire);
-  for (std::size_t e = 0; e < epochs; ++e) {
-    EpochsResult::PerEpoch pe;
-    pe.boundary_decided = true;
-    for (int g : live[e]) {
-      if (!boundary[static_cast<std::size_t>(g) * epochs + e]) {
-        pe.boundary_decided = false;
-      }
-      for (const auto& [inst, v] : decisions[static_cast<std::size_t>(g)][e]) {
-        pe.decisions[inst].emplace(g, v);
-      }
-    }
-    for (const auto& [inst, inputs] : script[e].instances) {
-      auto it = pe.decisions.find(inst);
-      if (it == pe.decisions.end() ||
-          it->second.size() != live[e].size()) {
-        res.all_decided = false;
-      }
-    }
-    if (!pe.boundary_decided) res.all_decided = false;
-    finish_epoch_result(pe, live[e]);
-    res.epochs.push_back(std::move(pe));
-  }
-  res.agreed = res.all_decided;
-  for (std::size_t e = 0; e < epochs; ++e) {
-    if (res.epochs[e].values.size() != script[e].instances.size()) {
-      res.agreed = false;
-    }
-  }
-  for (const auto& tr : transports) res.metrics.merge(tr->metrics());
+  res.metrics = cluster_->merged_metrics();
   return res;
 }
 

@@ -20,10 +20,12 @@
 //     (kEpochBoundaryInstance) in which every member votes 1; the next
 //     config installs when it decides.
 //
-// Runner::run_epochs drives a whole script of epochs on either backend —
-// the sim engine (deterministic) or a socket-loopback fleet of real TCP
-// endpoints — including join/leave/replace of a slot and members that
-// crash exactly at an epoch boundary (the reconfiguration adversary).
+// Runner::run_epochs (defined in core/epoch.cpp) drives a whole script of
+// epochs, written once against the Runner's Cluster (core/daemon.hpp), so
+// it runs on the sim engine (deterministic) or a socket-loopback fleet of
+// real TCP endpoints alike — including join/leave/replace of a slot and
+// members that crash exactly at an epoch boundary (the reconfiguration
+// adversary).
 #pragma once
 
 #include <cstdint>
@@ -39,10 +41,6 @@
 #include "sim/metrics.hpp"
 
 namespace svss {
-
-class Engine;
-struct RunnerConfig;
-enum class CoinMode;  // aba/aba.hpp
 
 // One membership epoch: which universe slots participate, and with what
 // resilience.  Members are global transport slot ids, strictly ascending;
@@ -177,16 +175,5 @@ struct EpochsResult {
   bool agreed = false;       // ... and per-instance decisions match
   Metrics metrics;
 };
-
-// Backend drivers (core/epoch.cpp); Runner::run_epochs dispatches on
-// cfg.transport.kind.  Both construct, per epoch and member, a fresh
-// NodeDaemon at its rank over an EpochTransport, so the two backends stay
-// byte-equivalent per the equivalence harness.
-EpochsResult run_epochs_sim(Engine& engine, const RunnerConfig& cfg,
-                            const std::vector<EpochPlan>& script,
-                            CoinMode mode);
-EpochsResult run_epochs_loopback(const RunnerConfig& cfg,
-                                 const std::vector<EpochPlan>& script,
-                                 CoinMode mode);
 
 }  // namespace svss

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "core/daemon.hpp"
-
 namespace svss {
 
 SessionId mw_top_id(std::uint32_t c, int dealer, int moderator) {
@@ -39,25 +37,6 @@ RunnerConfig validate(RunnerConfig cfg) {
     throw std::invalid_argument(
         "Runner: n < 3t+1 breaks the paper's resilience bound; set "
         "allow_sub_resilience to experiment beyond it");
-  }
-  // Merge the deprecated framing aliases into TransportOptions: a
-  // non-default alias value wins (old configs keep their meaning), then
-  // the aliases are re-derived so both views agree for the whole run.
-  if (!cfg.batched_coin_dealing) {
-    cfg.transport.coin_dealing = Framing::kPerSession;
-  }
-  if (!cfg.batched_mw_children) {
-    cfg.transport.mw_children = Framing::kPerSession;
-  }
-  for (const auto& [slot, batched] : cfg.mw_batch_override) {
-    cfg.transport.mw_children_override[slot] =
-        batched ? Framing::kBatched : Framing::kPerSession;
-  }
-  cfg.batched_coin_dealing = cfg.transport.batched_coin();
-  cfg.batched_mw_children = cfg.transport.mw_children == Framing::kBatched;
-  cfg.mw_batch_override.clear();
-  for (const auto& [slot, framing] : cfg.transport.mw_children_override) {
-    cfg.mw_batch_override[slot] = framing == Framing::kBatched;
   }
   if (cfg.transport.kind == TransportKind::kSocketLoopback &&
       !cfg.adversaries.empty()) {
@@ -108,13 +87,44 @@ std::unique_ptr<Scheduler> build_scheduler(const RunnerConfig& cfg) {
   return make_scheduler(cfg.scheduler, sched_seed, cfg.n, cfg.t);
 }
 
+LoopbackOptions loopback_options(const RunnerConfig& cfg) {
+  LoopbackOptions opts;
+  opts.n = cfg.n;
+  opts.t = cfg.t;
+  opts.seed = cfg.seed;
+  opts.transport = cfg.transport;
+  opts.faults = cfg.faults;
+  return opts;
+}
+
+// True iff `out` is non-empty and every value in it is the same.
+template <class V>
+bool unanimous(const std::map<int, V>& out) {
+  for (const auto& [i, v] : out) {
+    if (!(v == out.begin()->second)) return false;
+  }
+  return !out.empty();
+}
+
 }  // namespace
 
-Runner::Runner(RunnerConfig cfg)
-    : cfg_(validate(std::move(cfg))),
-      engine_(cfg_.n, cfg_.t, cfg_.seed, build_scheduler(cfg_)) {
+Runner::Runner(RunnerConfig cfg) : cfg_(validate(std::move(cfg))) {
   nodes_.resize(static_cast<std::size_t>(cfg_.n));
   advs_.resize(static_cast<std::size_t>(cfg_.n));
+  if (cfg_.transport.kind == TransportKind::kSocketLoopback) {
+    auto loop = std::make_unique<LoopbackCluster>(loopback_options(cfg_));
+    for (int i = 0; i < cfg_.n; ++i) {
+      nodes_[static_cast<std::size_t>(i)] = &loop->node(i);
+    }
+    cluster_ = std::move(loop);
+    return;
+  }
+  auto sim = std::make_unique<SimCluster>(cfg_.n, cfg_.t, cfg_.seed,
+                                          build_scheduler(cfg_),
+                                          cfg_.max_deliveries);
+  sim_ = sim.get();
+  cluster_ = std::move(sim);
+  Engine& engine = sim_->engine();
   for (int i = 0; i < cfg_.n; ++i) {
     std::uint64_t slot_seed =
         cfg_.seed * 1315423911ULL + static_cast<std::uint64_t>(i);
@@ -136,8 +146,8 @@ Runner::Runner(RunnerConfig cfg)
       if (!slot) throw std::invalid_argument("Runner: null adversary slot");
       advs_[static_cast<std::size_t>(i)] = slot.get();
       AdversarySlot* raw = slot.get();
-      engine_.set_process(i, std::move(slot));
-      engine_.set_interceptor(
+      engine.set_process(i, std::move(slot));
+      engine.set_interceptor(
           i, [raw, wire](int from, int to, Packet& p) {
             if (!raw->on_outbound(to, p)) return false;
             return !wire || wire(from, to, p);
@@ -149,14 +159,21 @@ Runner::Runner(RunnerConfig cfg)
                                        batched_mw,
                                        cfg_.transport.batched_votes());
     nodes_[static_cast<std::size_t>(i)] = node.get();
-    engine_.set_process(i, std::move(node));
-    if (wire) engine_.set_interceptor(i, std::move(wire));
+    engine.set_process(i, std::move(node));
+    if (wire) engine.set_interceptor(i, std::move(wire));
   }
   // Widened scheduler seam: hand the scheduler its observable-state view
   // now that every adversary slot exists.  Attached before any send, so
   // even start()-burst priorities may consult it.
-  sched_view_ = std::make_unique<RunnerScheduleView>(&engine_, &advs_);
-  engine_.scheduler().attach(sched_view_.get());
+  sched_view_ = std::make_unique<RunnerScheduleView>(&engine, &advs_);
+  engine.scheduler().attach(sched_view_.get());
+}
+
+Engine& Runner::engine() {
+  if (sim_ == nullptr) {
+    throw std::logic_error("Runner: engine() needs the sim backend");
+  }
+  return sim_->engine();
 }
 
 Node& Runner::node(int i) {
@@ -196,42 +213,77 @@ std::vector<int> Runner::honest_ids() const {
 
 std::vector<std::pair<int, int>> Runner::honest_shun_pairs() const {
   std::vector<std::pair<int, int>> out;
-  for (const auto& [i, j] : engine_.log().shun_pairs()) {
+  for (const auto& [i, j] : log().shun_pairs()) {
     if (is_honest(i)) out.emplace_back(i, j);
   }
   return out;
 }
 
-RunStatus Runner::run_until_honest(
-    const std::function<bool(const Node&)>& pred) {
-  // The done() predicate runs after *every* delivery, so it must be cheap.
-  // All driver predicates are monotone (decided/has_output/share_complete
-  // never go back to false), so nodes already satisfied are dropped from
-  // the waiting list and the typical per-delivery cost is one predicate
-  // call — not an honest_ids() allocation plus a full scan.
-  std::vector<int> waiting = honest_ids();
-  RunStatus status = engine_.run_until(
-      [this, &pred, &waiting] {
-        while (!waiting.empty() && pred(node(waiting.back()))) {
-          waiting.pop_back();
-        }
-        return waiting.empty();
-      },
-      cfg_.max_deliveries);
+RunStatus Runner::run_slots(const std::function<bool(int)>& done,
+                            std::vector<int> waited) {
+  RunStatus status = cluster_->run_until(done, std::move(waited));
   if (status == RunStatus::kDeliveryCap && cfg_.warn_on_cap) {
     // Never silent: a capped run is a potential non-termination witness.
     // The flag also lands in Metrics::capped for programmatic sweeps.
     std::fprintf(stderr,
                  "Runner: delivery cap hit (seed=%llu n=%d t=%d): %s\n",
                  static_cast<unsigned long long>(cfg_.seed), cfg_.n, cfg_.t,
-                 engine_.metrics().summary().c_str());
+                 cluster_->merged_metrics().summary().c_str());
   }
   return status;
 }
 
+RunStatus Runner::run_until_honest(
+    const std::function<bool(const Node&)>& pred) {
+  return run_slots([this, &pred](int i) { return pred(node(i)); },
+                   honest_ids());
+}
+
 // ---------------------------------------------------------------------
-// MW-SVSS
+// MW-SVSS / SVSS
 // ---------------------------------------------------------------------
+template <class Find, class Open>
+Runner::ShareResult Runner::share_then_reconstruct(bool reconstruct,
+                                                   Find find, Open open) {
+  auto shared = [&find](const Node& nd) {
+    const auto* s = find(nd);
+    return s != nullptr && s->share_complete();
+  };
+  auto output = [&find](const Node& nd) {
+    const auto* s = find(nd);
+    return s != nullptr && s->has_output();
+  };
+  ShareResult res;
+  res.status = run_until_honest(shared);
+  res.all_honest_shared = true;
+  for (int i : honest_ids()) {
+    if (!shared(node(i))) res.all_honest_shared = false;
+  }
+
+  if (reconstruct && res.all_honest_shared) {
+    // Every process that completed the share phase enters R' — including
+    // Byzantine ones, which run the honest code behind a corrupted wire.
+    for (int i = 0; i < cfg_.n; ++i) {
+      if (nodes_[static_cast<std::size_t>(i)] == nullptr) continue;
+      if (!shared(node(i))) continue;
+      Context c = ctx(i);
+      open(c, node(i)).start_reconstruct(c);
+    }
+    res.status = run_until_honest(output);
+    res.all_honest_output = true;
+    for (int i : honest_ids()) {
+      if (output(node(i))) {
+        res.outputs.emplace(i, find(node(i))->output());
+      } else {
+        res.all_honest_output = false;
+      }
+    }
+  }
+  res.shun_pairs = honest_shun_pairs();
+  res.metrics = cluster_->merged_metrics();
+  return res;
+}
+
 Runner::MwResult Runner::run_mwsvss(Fp secret, Fp moderator_input, int dealer,
                                     int moderator, bool reconstruct) {
   SessionId sid = mw_top_id(1, dealer, moderator);
@@ -244,101 +296,25 @@ Runner::MwResult Runner::run_mwsvss(Fp secret, Fp moderator_input, int dealer,
           nd.mw(c, sid).set_moderator_input(c, moderator_input);
         });
   }
-
-  MwResult res;
-  res.status = run_until_honest([&](const Node& nd) {
-    const MwSvssSession* s = nd.find_mw(sid);
-    return s != nullptr && s->share_complete();
-  });
-  res.all_honest_shared = true;
-  for (int i : honest_ids()) {
-    const MwSvssSession* s = node(i).find_mw(sid);
-    if (s == nullptr || !s->share_complete()) res.all_honest_shared = false;
-  }
-
-  if (reconstruct && res.all_honest_shared) {
-    // Every process that completed the share phase enters R' — including
-    // Byzantine ones, which run the honest code behind a corrupted wire.
-    for (int i = 0; i < cfg_.n; ++i) {
-      if (nodes_[static_cast<std::size_t>(i)] == nullptr) continue;
-      const MwSvssSession* s = node(i).find_mw(sid);
-      if (s == nullptr || !s->share_complete()) continue;
-      Context c = ctx(i);
-      node(i).mw(c, sid).start_reconstruct(c);
-    }
-    res.status = run_until_honest([&](const Node& nd) {
-      const MwSvssSession* s = nd.find_mw(sid);
-      return s != nullptr && s->has_output();
-    });
-    res.all_honest_output = true;
-    for (int i : honest_ids()) {
-      const MwSvssSession* s = node(i).find_mw(sid);
-      if (s != nullptr && s->has_output()) {
-        res.outputs.emplace(i, s->output());
-      } else {
-        res.all_honest_output = false;
-      }
-    }
-  }
-  res.shun_pairs = honest_shun_pairs();
-  res.metrics = engine_.metrics();
-  return res;
+  return share_then_reconstruct(
+      reconstruct, [sid](const Node& nd) { return nd.find_mw(sid); },
+      [sid](Context& c, Node& nd) -> MwSvssSession& { return nd.mw(c, sid); });
 }
 
-// ---------------------------------------------------------------------
-// SVSS
-// ---------------------------------------------------------------------
 Runner::SvssResult Runner::run_svss(Fp secret, int dealer, bool reconstruct) {
   SessionId sid = svss_top_id(1, dealer);
   set_slot_start(dealer, [sid, secret](Context& c, Node& nd) {
     nd.svss(c, sid).deal(c, secret);
   });
-
-  SvssResult res;
-  res.status = run_until_honest([&](const Node& nd) {
-    const SvssSession* s = nd.find_svss(sid);
-    return s != nullptr && s->share_complete();
-  });
-  res.all_honest_shared = true;
-  for (int i : honest_ids()) {
-    const SvssSession* s = node(i).find_svss(sid);
-    if (s == nullptr || !s->share_complete()) res.all_honest_shared = false;
-  }
-
-  if (reconstruct && res.all_honest_shared) {
-    for (int i = 0; i < cfg_.n; ++i) {
-      if (nodes_[static_cast<std::size_t>(i)] == nullptr) continue;
-      const SvssSession* s = node(i).find_svss(sid);
-      if (s == nullptr || !s->share_complete()) continue;
-      Context c = ctx(i);
-      node(i).svss(c, sid).start_reconstruct(c);
-    }
-    res.status = run_until_honest([&](const Node& nd) {
-      const SvssSession* s = nd.find_svss(sid);
-      return s != nullptr && s->has_output();
-    });
-    res.all_honest_output = true;
-    for (int i : honest_ids()) {
-      const SvssSession* s = node(i).find_svss(sid);
-      if (s != nullptr && s->has_output()) {
-        res.outputs.emplace(i, s->output());
-      } else {
-        res.all_honest_output = false;
-      }
-    }
-  }
-  res.shun_pairs = honest_shun_pairs();
-  res.metrics = engine_.metrics();
-  return res;
+  return share_then_reconstruct(
+      reconstruct, [sid](const Node& nd) { return nd.find_svss(sid); },
+      [sid](Context& c, Node& nd) -> SvssSession& { return nd.svss(c, sid); });
 }
 
 // ---------------------------------------------------------------------
 // Common coin
 // ---------------------------------------------------------------------
 Runner::CoinResult Runner::run_coin(std::uint32_t round) {
-  if (cfg_.transport.kind == TransportKind::kSocketLoopback) {
-    return run_coin_loopback(round);
-  }
   for (int i = 0; i < cfg_.n; ++i) {
     set_slot_start(i, [round](Context& c, Node& nd) {
       nd.coin(c, round).start(c);
@@ -358,93 +334,25 @@ Runner::CoinResult Runner::run_coin(std::uint32_t round) {
       res.all_output = false;
     }
   }
-  res.agreed = res.all_output && !res.bits.empty();
-  for (const auto& [i, b] : res.bits) {
-    if (b != res.bits.begin()->second) res.agreed = false;
-  }
+  res.agreed = res.all_output && unanimous(res.bits);
   res.shun_pairs = honest_shun_pairs();
-  res.metrics = engine_.metrics();
+  res.metrics = cluster_->merged_metrics();
   return res;
 }
 
 // ---------------------------------------------------------------------
-// Socket-loopback drivers: the same experiments over n real TCP
-// endpoints (core/daemon.hpp) instead of the simulator.  Results carry
-// the cluster's merged log/metrics; the merged events are also copied
-// into engine_.log() so honest_shun_pairs() & co. keep working.
+// Agreement
 // ---------------------------------------------------------------------
 namespace {
 
-LoopbackOptions loopback_options(const RunnerConfig& cfg) {
-  LoopbackOptions opts;
-  opts.n = cfg.n;
-  opts.t = cfg.t;
-  opts.seed = cfg.seed;
-  opts.transport = cfg.transport;
-  opts.faults = cfg.faults;
-  return opts;
-}
-
-}  // namespace
-
-Runner::CoinResult Runner::run_coin_loopback(std::uint32_t round) {
-  LoopbackCluster cluster(loopback_options(cfg_));
-  for (int i = 0; i < cfg_.n; ++i) {
-    cluster.node(i).set_start_action([round](Context& c, Node& nd) {
-      nd.coin(c, round).start(c);
-    });
-  }
-  bool finished = cluster.run(
-      [round](const Node& nd) {
-        const CoinSession* cs = nd.find_coin(round);
-        return cs != nullptr && cs->has_output();
-      },
-      [this](int i) { return is_honest(i); });
-  CoinResult res;
-  res.status = finished ? RunStatus::kQuiescent : RunStatus::kDeliveryCap;
-  res.all_output = finished;
-  for (int i : honest_ids()) {
-    const CoinSession* cs = cluster.node(i).find_coin(round);
-    if (cs != nullptr && cs->has_output()) {
-      res.bits.emplace(i, cs->output());
-    } else {
-      res.all_output = false;
-    }
-  }
-  res.agreed = res.all_output && !res.bits.empty();
-  for (const auto& [i, b] : res.bits) {
-    if (b != res.bits.begin()->second) res.agreed = false;
-  }
-  EventLog merged = cluster.merged_log();
-  for (const Event& e : merged.events()) {
-    engine_.log().record(e);
-  }
-  res.shun_pairs = honest_shun_pairs();
-  res.metrics = cluster.merged_metrics();
-  return res;
-}
-
-Runner::AbaResult Runner::run_aba_loopback(const std::vector<int>& inputs,
-                                           CoinMode mode) {
-  std::uint64_t coin_seed = cfg_.seed ^ 0xC01Full;
-  LoopbackCluster cluster(loopback_options(cfg_));
-  for (int i = 0; i < cfg_.n; ++i) {
-    int input = inputs[static_cast<std::size_t>(i)];
-    cluster.node(i).set_start_action(
-        [input, mode, coin_seed](Context& c, Node& nd) {
-          nd.start_aba(c, input, mode, coin_seed);
-        });
-  }
-  bool finished = cluster.run(
-      [](const Node& nd) {
-        return nd.aba() != nullptr && nd.aba()->decided();
-      },
-      [this](int i) { return is_honest(i); });
-  AbaResult res;
-  res.status = finished ? RunStatus::kQuiescent : RunStatus::kDeliveryCap;
-  res.all_decided = finished;
-  for (int i : honest_ids()) {
-    const AbaSession* a = cluster.node(i).aba();
+// Collects the decisions of an agreement session type (AbaSession,
+// BenOrSession) at every honest slot; `get` maps a Node to its session.
+template <class Get>
+Runner::AbaResult collect_agreement(Runner& r, Get get) {
+  Runner::AbaResult res;
+  res.all_decided = true;
+  for (int i : r.honest_ids()) {
+    const auto* a = get(r.node(i));
     if (a != nullptr && a->decided()) {
       res.decisions.emplace(i, a->decision());
       res.decision_rounds.emplace(i, a->decision_round());
@@ -453,30 +361,17 @@ Runner::AbaResult Runner::run_aba_loopback(const std::vector<int>& inputs,
       res.all_decided = false;
     }
   }
-  res.agreed = res.all_decided && !res.decisions.empty();
   if (!res.decisions.empty()) res.value = res.decisions.begin()->second;
-  for (const auto& [i, v] : res.decisions) {
-    if (v != res.value) res.agreed = false;
-  }
-  EventLog merged = cluster.merged_log();
-  for (const Event& e : merged.events()) {
-    engine_.log().record(e);
-  }
-  res.shun_pairs = honest_shun_pairs();
-  res.metrics = cluster.merged_metrics();
+  res.agreed = res.all_decided && unanimous(res.decisions);
   return res;
 }
 
-// ---------------------------------------------------------------------
-// Agreement
-// ---------------------------------------------------------------------
+}  // namespace
+
 Runner::AbaResult Runner::run_aba(const std::vector<int>& inputs,
                                   CoinMode mode) {
   if (static_cast<int>(inputs.size()) != cfg_.n) {
     throw std::invalid_argument("run_aba: need one input per process");
-  }
-  if (cfg_.transport.kind == TransportKind::kSocketLoopback) {
-    return run_aba_loopback(inputs, mode);
   }
   std::uint64_t coin_seed = cfg_.seed ^ 0xC01Full;
   for (int i = 0; i < cfg_.n; ++i) {
@@ -485,28 +380,35 @@ Runner::AbaResult Runner::run_aba(const std::vector<int>& inputs,
       nd.start_aba(c, input, mode, coin_seed);
     });
   }
-  AbaResult res;
-  res.status = run_until_honest([](const Node& nd) {
+  RunStatus status = run_until_honest([](const Node& nd) {
     return nd.aba() != nullptr && nd.aba()->decided();
   });
-  res.all_decided = true;
-  for (int i : honest_ids()) {
-    const AbaSession* a = node(i).aba();
-    if (a != nullptr && a->decided()) {
-      res.decisions.emplace(i, a->decision());
-      res.decision_rounds.emplace(i, a->decision_round());
-      res.max_round = std::max(res.max_round, a->decision_round());
-    } else {
-      res.all_decided = false;
-    }
-  }
-  res.agreed = res.all_decided && !res.decisions.empty();
-  if (!res.decisions.empty()) res.value = res.decisions.begin()->second;
-  for (const auto& [i, v] : res.decisions) {
-    if (v != res.value) res.agreed = false;
-  }
+  AbaResult res =
+      collect_agreement(*this, [](const Node& nd) { return nd.aba(); });
+  res.status = status;
   res.shun_pairs = honest_shun_pairs();
-  res.metrics = engine_.metrics();
+  res.metrics = cluster_->merged_metrics();
+  return res;
+}
+
+Runner::AbaResult Runner::run_benor(const std::vector<int>& inputs) {
+  if (static_cast<int>(inputs.size()) != cfg_.n) {
+    throw std::invalid_argument("run_benor: need one input per process");
+  }
+  for (int i = 0; i < cfg_.n; ++i) {
+    int input = inputs[static_cast<std::size_t>(i)];
+    set_slot_start(i, [input](Context& c, Node& nd) {
+      nd.start_benor(c, input);
+    });
+  }
+  RunStatus status = run_until_honest([](const Node& nd) {
+    return nd.benor() != nullptr && nd.benor()->decided();
+  });
+  AbaResult res =
+      collect_agreement(*this, [](const Node& nd) { return nd.benor(); });
+  res.status = status;
+  res.shun_pairs = honest_shun_pairs();
+  res.metrics = cluster_->merged_metrics();
   return res;
 }
 
@@ -519,63 +421,9 @@ void Runner::submit(std::uint32_t instance, std::vector<int> inputs) {
   }
 }
 
-namespace {
-
-// Shared result collection for both backends: `get` maps a process id to
-// its (possibly remote) Node.
-Runner::MultiAbaResult collect_submitted(
-    const std::map<std::uint32_t, std::vector<int>>& submitted,
-    const std::vector<int>& honest, const std::function<Node&(int)>& get) {
-  Runner::MultiAbaResult res;
-  res.all_decided = true;
-  for (const auto& [instance, inputs] : submitted) {
-    (void)inputs;
-    std::map<int, int>& per = res.decisions[instance];
-    for (int i : honest) {
-      const AbaSession* a = get(i).aba(instance);
-      if (a != nullptr && a->decided()) {
-        per.emplace(i, a->decision());
-      } else {
-        res.all_decided = false;
-      }
-    }
-    if (!per.empty()) {
-      bool same = true;
-      for (const auto& [i, v] : per) {
-        if (v != per.begin()->second) same = false;
-      }
-      if (same && static_cast<int>(per.size()) ==
-                      static_cast<int>(honest.size())) {
-        res.values.emplace(instance, per.begin()->second);
-      }
-    }
-  }
-  res.agreed = res.all_decided && !submitted.empty() &&
-               res.values.size() == submitted.size();
-  return res;
-}
-
-}  // namespace
-
-EpochsResult Runner::run_epochs(const std::vector<EpochPlan>& script,
-                                CoinMode mode) {
-  if (!cfg_.faults.empty() || !cfg_.adversaries.empty()) {
-    throw std::invalid_argument(
-        "run_epochs: faults/adversaries unsupported; crash members via "
-        "EpochPlan::crash_at_boundary");
-  }
-  if (cfg_.transport.kind == TransportKind::kSocketLoopback) {
-    return run_epochs_loopback(cfg_, script, mode);
-  }
-  return run_epochs_sim(engine_, cfg_, script, mode);
-}
-
 Runner::MultiAbaResult Runner::run_submitted(CoinMode mode) {
   if (submitted_.empty()) {
     throw std::invalid_argument("run_submitted: no instances submitted");
-  }
-  if (cfg_.transport.kind == TransportKind::kSocketLoopback) {
-    return run_submitted_loopback(mode);
   }
   std::uint64_t coin_seed = cfg_.seed ^ 0xC01Full;
   for (int i = 0; i < cfg_.n; ++i) {
@@ -600,84 +448,25 @@ Runner::MultiAbaResult Runner::run_submitted(CoinMode mode) {
     }
     return true;
   });
-  MultiAbaResult collected = collect_submitted(
-      submitted_, honest_ids(), [this](int i) -> Node& { return node(i); });
-  collected.status = res.status;
-  collected.metrics = engine_.metrics();
-  submitted_.clear();
-  return collected;
-}
-
-Runner::MultiAbaResult Runner::run_submitted_loopback(CoinMode mode) {
-  std::uint64_t coin_seed = cfg_.seed ^ 0xC01Full;
-  LoopbackCluster cluster(loopback_options(cfg_));
-  for (int i = 0; i < cfg_.n; ++i) {
-    std::vector<std::pair<std::uint32_t, int>> starts;
-    for (const auto& [instance, inputs] : submitted_) {
-      starts.emplace_back(instance, inputs[static_cast<std::size_t>(i)]);
-    }
-    cluster.node(i).set_start_action(
-        [starts, mode, coin_seed](Context& c, Node& nd) {
-          for (const auto& [instance, input] : starts) {
-            nd.start_aba(c, input, mode, coin_seed, instance);
-          }
-        });
-  }
-  const std::map<std::uint32_t, std::vector<int>>& submitted = submitted_;
-  bool finished = cluster.run(
-      [&submitted](const Node& nd) {
-        for (const auto& [instance, inputs] : submitted) {
-          const AbaSession* a = nd.aba(instance);
-          if (a == nullptr || !a->decided()) return false;
-        }
-        return true;
-      },
-      [this](int i) { return is_honest(i); });
-  MultiAbaResult res = collect_submitted(
-      submitted_, honest_ids(),
-      [&cluster](int i) -> Node& { return cluster.node(i); });
-  res.status = finished ? RunStatus::kQuiescent : RunStatus::kDeliveryCap;
-  EventLog merged = cluster.merged_log();
-  for (const Event& e : merged.events()) {
-    engine_.log().record(e);
-  }
-  res.metrics = cluster.merged_metrics();
-  submitted_.clear();
-  return res;
-}
-
-Runner::AbaResult Runner::run_benor(const std::vector<int>& inputs) {
-  if (static_cast<int>(inputs.size()) != cfg_.n) {
-    throw std::invalid_argument("run_benor: need one input per process");
-  }
-  for (int i = 0; i < cfg_.n; ++i) {
-    int input = inputs[static_cast<std::size_t>(i)];
-    set_slot_start(i, [input](Context& c, Node& nd) {
-      nd.start_benor(c, input);
-    });
-  }
-  AbaResult res;
-  res.status = run_until_honest([](const Node& nd) {
-    return nd.benor() != nullptr && nd.benor()->decided();
-  });
+  const std::vector<int> honest = honest_ids();
   res.all_decided = true;
-  for (int i : honest_ids()) {
-    const BenOrSession* b = node(i).benor();
-    if (b != nullptr && b->decided()) {
-      res.decisions.emplace(i, b->decision());
-      res.decision_rounds.emplace(i, b->decision_round());
-      res.max_round = std::max(res.max_round, b->decision_round());
-    } else {
-      res.all_decided = false;
+  for (const auto& [instance, inputs] : submitted_) {
+    std::map<int, int>& per = res.decisions[instance];
+    for (int i : honest) {
+      const AbaSession* a = node(i).aba(instance);
+      if (a != nullptr && a->decided()) {
+        per.emplace(i, a->decision());
+      } else {
+        res.all_decided = false;
+      }
+    }
+    if (per.size() == honest.size() && unanimous(per)) {
+      res.values.emplace(instance, per.begin()->second);
     }
   }
-  res.agreed = res.all_decided && !res.decisions.empty();
-  if (!res.decisions.empty()) res.value = res.decisions.begin()->second;
-  for (const auto& [i, v] : res.decisions) {
-    if (v != res.value) res.agreed = false;
-  }
-  res.shun_pairs = honest_shun_pairs();
-  res.metrics = engine_.metrics();
+  res.agreed = res.all_decided && res.values.size() == submitted_.size();
+  res.metrics = cluster_->merged_metrics();
+  submitted_.clear();
   return res;
 }
 
@@ -710,11 +499,8 @@ Runner::AcsResult Runner::run_acs(const std::vector<Bytes>& proposals,
       res.all_output = false;
     }
   }
-  res.agreed = res.all_output && !res.outputs.empty();
-  for (const auto& [i, out] : res.outputs) {
-    if (!(out == res.outputs.begin()->second)) res.agreed = false;
-  }
-  res.metrics = engine_.metrics();
+  res.agreed = res.all_output && unanimous(res.outputs);
+  res.metrics = cluster_->merged_metrics();
   return res;
 }
 
@@ -744,12 +530,9 @@ Runner::MvbaResult Runner::run_mvba(const std::vector<Fp>& proposals,
       res.all_decided = false;
     }
   }
-  res.agreed = res.all_decided && !res.decisions.empty();
   if (!res.decisions.empty()) res.value = res.decisions.begin()->second;
-  for (const auto& [i, v] : res.decisions) {
-    if (v != res.value) res.agreed = false;
-  }
-  res.metrics = engine_.metrics();
+  res.agreed = res.all_decided && unanimous(res.decisions);
+  res.metrics = cluster_->merged_metrics();
   return res;
 }
 
@@ -779,11 +562,8 @@ Runner::SumResult Runner::run_secure_sum(const std::vector<Fp>& inputs,
     }
     if (s != nullptr && s->core()) res.cores.emplace(i, *s->core());
   }
-  res.agreed = res.all_output && !res.outputs.empty();
-  for (const auto& [i, out] : res.outputs) {
-    if (out != res.outputs.begin()->second) res.agreed = false;
-  }
-  res.metrics = engine_.metrics();
+  res.agreed = res.all_output && unanimous(res.outputs);
+  res.metrics = cluster_->merged_metrics();
   return res;
 }
 

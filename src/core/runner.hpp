@@ -1,13 +1,16 @@
 // core::Runner — reproducible end-to-end experiment harness.
 //
-// A Runner assembles an Engine with n process slots — each hosting either
-// an honest Node or an adversary strategy (src/adversary/) — installs
-// Byzantine wire interceptors for the configured faulty processes, and
-// exposes canned experiment drivers for every layer of the stack: one
-// MW-SVSS session, one SVSS session, one common-coin round, and full
-// agreement runs (the paper's protocol plus the Bracha-local-coin and
-// Ben-Or baselines).  Every run is a pure function of the config, so any
-// interesting outcome can be replayed from its seed.
+// A Runner assembles a cluster of n process slots — each hosting either
+// an honest Node or (on the simulator) an adversary strategy
+// (src/adversary/) — installs Byzantine wire interceptors for the
+// configured faulty processes, and exposes canned experiment drivers for
+// every layer of the stack: one MW-SVSS session, one SVSS session, one
+// common-coin round, and full agreement runs (the paper's protocol plus
+// the Bracha-local-coin and Ben-Or baselines, ACS, MVBA, secure sum, and
+// epoch scripts).  Each driver is written once against the Cluster seam
+// (core/daemon.hpp) and runs on the simulator or over socket loopback.  A
+// sim run is a pure function of the config, so any interesting outcome
+// can be replayed from its seed.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +21,7 @@
 
 #include "core/adversary_slot.hpp"
 #include "core/byzantine.hpp"
+#include "core/daemon.hpp"
 #include "core/epoch.hpp"
 #include "core/node.hpp"
 #include "sim/engine.hpp"
@@ -60,24 +64,17 @@ struct RunnerConfig {
   // cap (the outcome is also surfaced in Metrics::capped either way).
   bool warn_on_cap = true;
   // The run's transport surface: which backend (sim | socket-loopback) and
-  // which wire framings (coin-dealing batch, MW group coalescing, per-slot
-  // overrides).  See net/transport.hpp for the semantics of each knob.
+  // which wire framings (coin-dealing batch, MW group coalescing, vote
+  // batching, per-slot overrides).  See net/transport.hpp for the
+  // semantics of each knob.
   //
-  // kSocketLoopback runs the same protocol code over n real TCP endpoints
-  // on 127.0.0.1 (one thread each; see core/daemon.hpp) instead of the
-  // simulator.  Supported drivers: run_coin and run_aba.  `scheduler` is
-  // ignored (the kernel is the scheduler), `faults` apply through the send
-  // hook, and `adversaries` are rejected — strategies need scheduler-side
+  // kSocketLoopback runs every driver on the same protocol code over n real
+  // TCP endpoints on 127.0.0.1 (one thread each; core/daemon.hpp's
+  // LoopbackCluster) instead of the simulator.  `scheduler` is ignored
+  // (the kernel is the scheduler), `faults` apply through the send hook,
+  // and `adversaries` are rejected — strategies need scheduler-side
   // determinism the socket backend cannot give.
   TransportOptions transport;
-  // --- deprecated aliases -------------------------------------------
-  // Pre-seam names for the framing knobs, kept so existing configs
-  // compile.  A non-default value here overrides the corresponding
-  // `transport` field at validation; after validation both views agree.
-  // New code should set `transport` directly.
-  bool batched_coin_dealing = true;
-  bool batched_mw_children = true;
-  std::map<int, bool> mw_batch_override;
 };
 
 // Canonical session ids for top-level invocations.
@@ -88,12 +85,16 @@ class Runner {
  public:
   explicit Runner(RunnerConfig cfg);
 
-  Engine& engine() { return engine_; }
+  // The simulator engine; throws on a socket-loopback Runner.
+  Engine& engine();
   // The honest Node in slot i; throws if the slot hosts an adversary.
   Node& node(int i);
   // The adversary strategy in slot i, or nullptr for honest slots.
   [[nodiscard]] AdversarySlot* adversary(int i);
-  Context ctx(int i) { return Context(engine_, i); }
+  // A Context acting as slot i, on either backend (between runs only).
+  Context ctx(int i) { return cluster_->ctx(i); }
+  // Every slot's protocol events so far, on either backend.
+  [[nodiscard]] const EventLog& log() const { return cluster_->merged_log(); }
   [[nodiscard]] bool is_honest(int i) const;
   [[nodiscard]] std::vector<int> honest_ids() const;
   [[nodiscard]] const RunnerConfig& config() const { return cfg_; }
@@ -101,7 +102,7 @@ class Runner {
   // ------------------------------------------------------------------
   // Layer experiment drivers
   // ------------------------------------------------------------------
-  struct MwResult {
+  struct ShareResult {
     bool all_honest_shared = false;
     bool all_honest_output = false;
     std::map<int, std::optional<Fp>> outputs;  // honest only
@@ -109,20 +110,14 @@ class Runner {
     Metrics metrics;
     RunStatus status = RunStatus::kQuiescent;
   };
+  using MwResult = ShareResult;
+  using SvssResult = ShareResult;
   // Runs one MW-SVSS session: dealer deals `secret`, the moderator's input
   // is `moderator_input`; reconstruction starts once every honest process
   // finished the share phase (if requested and sharing succeeded).
   MwResult run_mwsvss(Fp secret, Fp moderator_input, int dealer = 0,
                       int moderator = 1, bool reconstruct = true);
 
-  struct SvssResult {
-    bool all_honest_shared = false;
-    bool all_honest_output = false;
-    std::map<int, std::optional<Fp>> outputs;
-    std::vector<std::pair<int, int>> shun_pairs;
-    Metrics metrics;
-    RunStatus status = RunStatus::kQuiescent;
-  };
   SvssResult run_svss(Fp secret, int dealer = 0, bool reconstruct = true);
 
   struct CoinResult {
@@ -173,8 +168,8 @@ class Runner {
     Metrics metrics;
     RunStatus status = RunStatus::kQuiescent;
   };
-  // Drives every submitted instance to decision concurrently (sim or
-  // socket-loopback backend, like run_aba).  Consumes the queue.
+  // Drives every submitted instance to decision concurrently.  Consumes
+  // the queue.
   MultiAbaResult run_submitted(CoinMode mode = CoinMode::kIdealCommon);
 
   // ------------------------------------------------------------------
@@ -185,8 +180,8 @@ class Runner {
   // agreement instances, then all members agree the boundary (one
   // reserved instance) and the next config installs — join, leave, or
   // replace of slots, plus members that crash exactly at a boundary.
-  // Works on both backends (cfg.transport.kind); faults/adversaries are
-  // rejected — the reconfiguration adversary is EpochPlan's crash set.
+  // Faults/adversaries are rejected — the reconfiguration adversary is
+  // EpochPlan's crash set.  Defined in core/epoch.cpp.
   EpochsResult run_epochs(const std::vector<EpochPlan>& script,
                           CoinMode mode = CoinMode::kIdealCommon);
 
@@ -231,19 +226,28 @@ class Runner {
   [[nodiscard]] std::vector<std::pair<int, int>> honest_shun_pairs() const;
 
  private:
+  // The one run path of every driver: Cluster::run_until over `waited`,
+  // with the delivery-cap / timeout warning.
+  RunStatus run_slots(const std::function<bool(int)>& done,
+                      std::vector<int> waited);
+  // run_slots over the honest slots, with a predicate on each one's Node.
   RunStatus run_until_honest(const std::function<bool(const Node&)>& pred);
+  // MW-SVSS / SVSS body: share, then (if asked) every slot that completed
+  // the share phase enters reconstruction.  find(node) -> session or null;
+  // open(ctx, node) -> session.
+  template <class Find, class Open>
+  ShareResult share_then_reconstruct(bool reconstruct, Find find, Open open);
   // Routes a driver's start action to whatever occupies slot i (honest
   // Node or adversary strategy).
   void set_slot_start(int i, std::function<void(Context&, Node&)> action);
-  // Socket-loopback driver bodies (core/daemon.hpp clusters).
-  CoinResult run_coin_loopback(std::uint32_t round);
-  AbaResult run_aba_loopback(const std::vector<int>& inputs, CoinMode mode);
-  MultiAbaResult run_submitted_loopback(CoinMode mode);
 
   std::map<std::uint32_t, std::vector<int>> submitted_;
 
   RunnerConfig cfg_;
-  Engine engine_;
+  // The backend (core/daemon.hpp): a SimCluster, or a LoopbackCluster when
+  // cfg.transport.kind is kSocketLoopback.  sim_ borrows the former.
+  std::unique_ptr<Cluster> cluster_;
+  SimCluster* sim_ = nullptr;
   std::vector<Node*> nodes_;         // borrowed; nullptr for adversary slots
   std::vector<AdversarySlot*> advs_; // borrowed; nullptr for honest slots
   // Observable run state served to the scheduler (sim/scheduler.hpp):

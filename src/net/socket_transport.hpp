@@ -76,9 +76,9 @@ class SocketTransport final : public ITransport {
   // touches only the eventfd, fixed by open() and closed only by the
   // destructor, so a wake that races shutdown() is harmless.  The owner's
   // pending or next poll() returns at once; wakes issued before that poll
-  // coalesce into one.  Cross-thread completion (LoopbackCluster,
-  // run_epochs_loopback) uses it so a worker re-checks a shared predicate
-  // the moment it flips instead of at its next tick.
+  // coalesce into one.  Cross-thread completion (LoopbackCluster) uses it
+  // so a worker re-checks a shared predicate the moment it flips instead
+  // of at its next tick.
   void wake();
   [[nodiscard]] std::uint16_t bound_port() const { return bound_port_; }
   // Replaces a peer's endpoint before dialing starts (loopback clusters

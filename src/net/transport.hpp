@@ -19,6 +19,11 @@
 //     examples/agreement_cluster and examples/coin_service run as
 //     multi-process daemons on top of it.
 //
+// core::Runner reaches both through one Cluster seam (core/daemon.hpp:
+// SimCluster over the Engine, LoopbackCluster over n SocketTransports in
+// one process), so every Runner driver runs on either backend;
+// TransportOptions::kind picks which.  Adversary strategies stay sim-only.
+//
 // This header sits *below* both backends: it depends only on the wire
 // message model (sim/message.hpp), carries no out-of-line code, and is the
 // only thing a new backend must implement.

@@ -22,29 +22,29 @@ using equivalence::VariantPair;
 
 Variant unbatched() {
   return Variant{"unbatched", [](RunnerConfig& cfg) {
-                   cfg.batched_coin_dealing = false;
-                   cfg.batched_mw_children = false;
+                   cfg.transport.coin_dealing = Framing::kPerSession;
+                   cfg.transport.mw_children = Framing::kPerSession;
                  }};
 }
 
 Variant mw_only() {
   return Variant{"mw-batched", [](RunnerConfig& cfg) {
-                   cfg.batched_coin_dealing = false;
-                   cfg.batched_mw_children = true;
+                   cfg.transport.coin_dealing = Framing::kPerSession;
+                   cfg.transport.mw_children = Framing::kBatched;
                  }};
 }
 
 Variant coin_only() {
   return Variant{"coin-batched", [](RunnerConfig& cfg) {
-                   cfg.batched_coin_dealing = true;
-                   cfg.batched_mw_children = false;
+                   cfg.transport.coin_dealing = Framing::kBatched;
+                   cfg.transport.mw_children = Framing::kPerSession;
                  }};
 }
 
 Variant combined() {
   return Variant{"combined", [](RunnerConfig& cfg) {
-                   cfg.batched_coin_dealing = true;
-                   cfg.batched_mw_children = true;
+                   cfg.transport.coin_dealing = Framing::kBatched;
+                   cfg.transport.mw_children = Framing::kBatched;
                  }};
 }
 

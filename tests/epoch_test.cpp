@@ -141,8 +141,8 @@ TEST(EpochEquivalence, ReplaceAgreesAcrossBackends) {
                                      replace_script());
 }
 
-// Crash-at-boundary also runs on the socket backend: the crashed member's
-// transport shuts down and the survivors decide the next epoch.
+// Crash-at-boundary also runs on the socket backend: the crashed member
+// goes silent at the boundary and the survivors decide the next epoch.
 TEST(EpochLoopback, CrashAtBoundarySurvivorsDecide) {
   RunnerConfig cfg = universe_config(4, 1, 4402);
   cfg.transport.kind = TransportKind::kSocketLoopback;

@@ -46,7 +46,7 @@
 namespace svss::equivalence {
 
 // A named framing variant: a mutation applied on top of the cell's base
-// config (toggling batched_coin_dealing / batched_mw_children / overrides).
+// config (toggling transport.coin_dealing / mw_children / overrides).
 struct Variant {
   const char* name;
   std::function<void(RunnerConfig&)> apply;
@@ -163,7 +163,7 @@ inline void run_coin_equivalence(const VariantPair& pair,
         EXPECT_TRUE(res.shun_pairs.empty())
             << "seed " << cell.seed << " variant " << variants[v]->name;
       }
-      recon[v] = coin_recon_outputs(r.engine().log());
+      recon[v] = coin_recon_outputs(r.log());
     }
     EXPECT_TRUE(quiescent[0] && quiescent[1]) << "seed " << cell.seed;
     if (!cell.strategy) {
@@ -272,7 +272,7 @@ inline void run_replay_determinism(const Variant& variant,
       Runner r(cfg);
       auto res = r.run_coin();
       ASSERT_TRUE(res.all_output);
-      auto fp = fingerprint(r.engine().log());
+      auto fp = fingerprint(r.log());
       if (!first) {
         first = std::move(fp);
       } else {

@@ -144,8 +144,9 @@ TEST(Stress, FullStackN10) {
     cfg.n = 10;
     cfg.t = 3;
     cfg.seed = 1001;
-    cfg.batched_coin_dealing = batched != 0;
-    cfg.batched_mw_children = batched != 0;
+    Framing framing = batched != 0 ? Framing::kBatched : Framing::kPerSession;
+    cfg.transport.coin_dealing = framing;
+    cfg.transport.mw_children = framing;
     cfg.max_deliveries = 500'000'000;
     Runner r(cfg);
     auto res = r.run_coin();

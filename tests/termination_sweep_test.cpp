@@ -127,10 +127,12 @@ TEST(TerminationSweep, MixedMwFleetWithBatchedAdversary) {
   spec.schedulers = all_schedulers();
   spec.seeds = {71, 72};
   spec.configure = [](RunnerConfig& cfg) {
-    // batched_mw_children defaults to true; un-batch the lower half so
-    // the run mixes both framings (the adversary, at slot n-1, stays in
+    // transport.mw_children defaults to kBatched; un-batch the lower half
+    // so the run mixes both framings (the adversary, at slot n-1, stays in
     // the batched half).
-    for (int i = 0; i < cfg.n / 2; ++i) cfg.mw_batch_override[i] = false;
+    for (int i = 0; i < cfg.n / 2; ++i) {
+      cfg.transport.mw_children_override[i] = Framing::kPerSession;
+    }
   };
   auto report = sweep::run_aba_termination_sweep(spec);
   ASSERT_EQ(report.total(), 4 * 2);
