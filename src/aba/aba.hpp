@@ -84,11 +84,6 @@ class AbaHost {
                            std::uint32_t instance) = 0;
 };
 
-// Per-instance round-count ceiling, also used to namespace the ideal-coin
-// seed mix (instance * kCoinRoundsPerInstance + round), so instance 0's
-// bit stream is unchanged from single-instance runs.
-inline constexpr std::uint32_t kCoinRoundsPerInstance = 4096;
-
 class AbaSession {
  public:
   // `instance` distinguishes concurrent agreement instances on one node

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "batch/batch.hpp"
 #include "core/byzantine.hpp"
 #include "core/node.hpp"
 
@@ -44,8 +46,7 @@ class SplitBrainStrategy : public IStrategy {
  public:
   explicit SplitBrainStrategy(const AdversaryEnv& env) : IStrategy(env) {
     for (auto& b : branch_) {
-      b = std::make_unique<Node>(env.self, env.n, env.t, env.batched_coin,
-                                     env.batched_mw);
+      b = std::make_unique<Node>(env.self, env.n, env.t, env.framing);
     }
   }
 
@@ -182,8 +183,7 @@ class AdaptiveShunAware final : public IStrategy {
   explicit AdaptiveShunAware(const AdversaryEnv& env)
       : IStrategy(env),
         excluded_streak_(static_cast<std::size_t>(env.n), 0),
-        node_(std::make_unique<Node>(env.self, env.n, env.t, env.batched_coin,
-                                     env.batched_mw)) {}
+        node_(std::make_unique<Node>(env.self, env.n, env.t, env.framing)) {}
 
   [[nodiscard]] const char* strategy_name() const override {
     return adversary::strategy_name(StrategyKind::kAdaptiveShunAware);
@@ -212,15 +212,13 @@ class AdaptiveShunAware final : public IStrategy {
       mutate_outbound_message(
           p, env_.self,
           [&](Message& m) {
-            // The deviation DMM rules 2-3 catch, on either framing: a
-            // group envelope carries its recon values in vals, so
-            // corrupting the first entry corrupts one per-session value.
-            if ((m.type == MsgType::kMwReconVal ||
-                 m.type == MsgType::kMwBatchReconVal) &&
-                !m.vals.empty()) {
-              m.vals[0] += Fp(1);
+            // The deviation DMM rules 2-3 catch, on either framing:
+            // corrupting the first recon value corrupts one per-session
+            // value.
+            batch::for_each_value(m, MsgType::kMwReconVal, [&](Fp& v) {
+              if (!touched) v += Fp(1);
               touched = true;
-            }
+            });
           },
           /*mutate_relays=*/false);
       if (touched) ++stats_.mutated;
@@ -253,29 +251,17 @@ class AdaptiveShunAware final : public IStrategy {
     if (!seen_.insert(p.bid).second) return;
     auto msg = Message::deserialize(p.rb_payload());
     if (!msg) return;
-    const std::vector<int>& ints = msg->ints;
+    // The sets of one envelope are flushed together and share one
+    // schedule, so they are one observation, not one per set: count the
+    // message as including us iff *any* of its sets does.  A malformed
+    // envelope is not our bug to diagnose.
     bool included = false;
-    if (per_session) {
-      // ints is the member list itself.
-      included = std::find(ints.begin(), ints.end(), env_.self) != ints.end();
-    } else {
-      // Batched framing: ints is (j, len, members...) runs, one published
-      // per-session set each (mwsvss/group_transport.cpp).  The runs of
-      // one envelope are flushed together and share one schedule, so they
-      // are one observation, not len(runs) independent ones: count the
-      // envelope as including us iff *any* of its sets does.
-      std::size_t i = 0;
-      while (i + 2 <= ints.size()) {
-        int len = ints[i + 1];
-        if (len < 0 || i + 2 + static_cast<std::size_t>(len) > ints.size()) {
-          return;  // malformed envelope; not our bug to diagnose
-        }
-        auto first = ints.begin() + static_cast<std::ptrdiff_t>(i + 2);
-        if (std::find(first, first + len, env_.self) != first + len) {
-          included = true;
-        }
-        i += 2 + static_cast<std::size_t>(len);
-      }
+    if (!batch::for_each_member_set(*msg, [&](std::span<const int> set) {
+          if (std::find(set.begin(), set.end(), env_.self) != set.end()) {
+            included = true;
+          }
+        })) {
+      return;
     }
     int& streak = excluded_streak_[static_cast<std::size_t>(p.bid.origin)];
     if (included) {
@@ -302,8 +288,7 @@ class WithholdingModerator final : public IStrategy {
  public:
   explicit WithholdingModerator(const AdversaryEnv& env)
       : IStrategy(env),
-        node_(std::make_unique<Node>(env.self, env.n, env.t, env.batched_coin,
-                                     env.batched_mw)) {}
+        node_(std::make_unique<Node>(env.self, env.n, env.t, env.framing)) {}
 
   [[nodiscard]] const char* strategy_name() const override {
     return adversary::strategy_name(StrategyKind::kWithholdingModerator);
@@ -371,8 +356,7 @@ class ColludingCabal final : public IStrategy {
   ColludingCabal(const AdversaryEnv& env, std::shared_ptr<CabalView> view)
       : IStrategy(env),
         view_(std::move(view)),
-        node_(std::make_unique<Node>(env.self, env.n, env.t, env.batched_coin,
-                                     env.batched_mw)) {}
+        node_(std::make_unique<Node>(env.self, env.n, env.t, env.framing)) {}
 
   [[nodiscard]] const char* strategy_name() const override {
     return adversary::strategy_name(StrategyKind::kColludingCabal);

@@ -30,11 +30,8 @@ CoinSession::CoinSession(CoinHost& host, std::uint32_t round, int self, int n,
 void CoinSession::start(Context& ctx) {
   if (started_) return;
   started_ = true;
-  // The window lets a batching host coalesce the n sessions' dealer-share
-  // messages into one envelope per recipient.  The sessions themselves run
-  // the unmodified dealing code — same RNG consumption, same values — so
-  // batched and unbatched runs deal identical polynomials per seed.
-  host_.svss_batch_window(ctx, instance_, round_, /*open=*/true);
+  // Attachee order: the batching layer packs each recipient's n dealings
+  // in capture order (src/batch/coin_codec.cpp).
   for (int j = 0; j < n_; ++j) {
     // Secret attached to j: uniform in {0, .., n-1}.  Sums of attached
     // secrets stay far below the field modulus, so the mod-n coin value of
@@ -44,7 +41,6 @@ void CoinSession::start(Context& ctx) {
         ctx.rng().next_below(static_cast<std::uint64_t>(n_))));
     host_.svss_child(ctx, coin_svss_id(round_, self_, j, instance_)).deal(ctx, secret);
   }
-  host_.svss_batch_window(ctx, instance_, round_, /*open=*/false);
 }
 
 bool CoinSession::dealer_done(int d) const {

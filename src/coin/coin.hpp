@@ -49,17 +49,6 @@ class CoinHost {
   virtual SvssSession& svss_child(Context& ctx, const SessionId& sid) = 0;
   virtual void coin_output(Context& ctx, std::uint32_t instance,
                            std::uint32_t round, int bit) = 0;
-  // Batched-dealing capture window (src/coin/batched_transport.hpp):
-  // CoinSession::start brackets its dealing loop so a batching host can
-  // coalesce the n sessions' share messages.  Hosts without a batched
-  // transport ignore it.
-  virtual void svss_batch_window(Context& ctx, std::uint32_t instance,
-                                 std::uint32_t round, bool open) {
-    (void)ctx;
-    (void)instance;
-    (void)round;
-    (void)open;
-  }
 };
 
 class CoinSession {

@@ -7,11 +7,12 @@
 // vector and probes linearly after a murmur-style finalizer (the index is
 // a power of two, so raw hashes with weak low bits would cluster).
 //
-// Contract: no erase; references returned by find()/operator[] are
-// invalidated by the next insertion (hold the value behind a unique_ptr or
-// re-look it up), while heap-allocated pointees stay stable.
+// Contract: no erase, only clear(); references returned by find() and
+// operator[] are invalidated by the next insertion (hold the value behind a
+// unique_ptr or re-look it up), while heap-allocated pointees stay stable.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -54,6 +55,12 @@ class FlatMap {
     entries_.emplace_back(key, V{});
     table_[h] = static_cast<std::uint32_t>(entries_.size());
     return entries_.back().second;
+  }
+
+  // Drops every entry; the table keeps its capacity.
+  void clear() {
+    entries_.clear();
+    std::fill(table_.begin(), table_.end(), 0);
   }
 
   // Entries in insertion order (deterministic).

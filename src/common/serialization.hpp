@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/field.hpp"
@@ -20,6 +21,9 @@ using Bytes = std::vector<std::uint8_t>;
 
 class Writer {
  public:
+  Writer() = default;
+  // Appends to an existing buffer.
+  explicit Writer(Bytes buf) : buf_(std::move(buf)) {}
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));

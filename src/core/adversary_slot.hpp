@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 
+#include "batch/batch.hpp"
 #include "sim/engine.hpp"
 
 namespace svss {
@@ -24,11 +25,9 @@ struct AdversaryEnv {
   int n = 0;
   int t = 0;
   std::uint64_t seed = 0;  // per-slot reproducibility seed
-  // Run-wide wire framing (coin dealing batches, MW group coalescing);
-  // strategies hosting honest-code Nodes pass both through so un/batched
-  // runs stay comparable end to end.
-  bool batched_coin = true;
-  bool batched_mw = true;
+  // The slot's wire framing, with no default: strategies hosting
+  // honest-code Nodes must frame exactly as the run's honest nodes do.
+  BatchFraming framing;
 };
 
 // Observable side effects of a strategy, for non-vacuity assertions: a test

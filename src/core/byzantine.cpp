@@ -2,8 +2,8 @@
 
 #include <memory>
 
+#include "batch/batch.hpp"
 #include "common/rng.hpp"
-#include "mwsvss/group_transport.hpp"
 #include "sim/message.hpp"
 
 namespace svss {
@@ -77,13 +77,10 @@ Engine::Interceptor make_byzantine_interceptor(const ByzConfig& cfg, int n,
         mutate_packet(
             p, from,
             [](Message& m) {
-              // Group envelopes keep recon values in vals, so perturbing
-              // them corrupts every coalesced per-session broadcast —
-              // the same deviation as perturbing each one individually.
-              if (m.type == MsgType::kMwReconVal ||
-                  m.type == MsgType::kMwBatchReconVal) {
-                perturb_vals(m, Fp(1));
-              }
+              // Every recon value, on either framing: the same deviation
+              // per coalesced session as per individual broadcast.
+              batch::for_each_value(m, MsgType::kMwReconVal,
+                                    [](Fp& v) { v += Fp(1); });
             },
             /*mutate_relays=*/false);
         return true;
@@ -95,26 +92,15 @@ Engine::Interceptor make_byzantine_interceptor(const ByzConfig& cfg, int n,
         mutate_packet(
             p, from,
             [](Message& m) {
-              if (m.type == MsgType::kMwMonitorVal) perturb_vals(m, Fp(1));
-              // Same lie on the coalesced framing: perturb exactly the
-              // monitor values inside a direct envelope (the transport
-              // owns the layout walk).
-              MwGroupTransport::for_each_direct_entry(
-                  m, [&m](MsgType sub, int, std::size_t val_offset, int) {
-                    if (sub == MsgType::kMwMonitorVal &&
-                        val_offset < m.vals.size()) {
-                      m.vals[val_offset] += Fp(1);
-                    }
-                  });
-              if (m.type == MsgType::kMwMset && !m.ints.empty()) {
+              // The same lies on either framing; the batching layer owns
+              // the envelope layout.
+              batch::for_each_value(m, MsgType::kMwMonitorVal,
+                                    [](Fp& v) { v += Fp(1); });
+              if (m.type == MsgType::kMwMset ||
+                  m.type == MsgType::kMwBatchMset) {
                 // Rotate the accepted-monitor set by one: a plausible but
                 // wrong commitment.
-                m.ints[0] = (m.ints[0] + 1) % 2;
-              }
-              if (m.type == MsgType::kMwBatchMset) {
-                // The first member of the first coalesced run — the same
-                // rotated commitment.
-                if (int* member = MwGroupTransport::first_run_member(m)) {
+                if (int* member = batch::first_set_member(m)) {
                   *member = (*member + 1) % 2;
                 }
               }

@@ -6,10 +6,18 @@
 
 namespace svss {
 
+BatchFraming batch_framing(const TransportOptions& opts, int slot) {
+  auto it = opts.mw_children_override.find(slot);
+  Framing mw = it != opts.mw_children_override.end() ? it->second
+                                                     : opts.mw_children;
+  return BatchFraming{opts.coin_dealing == Framing::kBatched,
+                      mw == Framing::kBatched,
+                      opts.aba_votes == Framing::kBatched};
+}
+
 NodeDaemon::NodeDaemon(int self, int n, int t, std::uint64_t seed,
                        ITransport& tr, const TransportOptions& opts)
-    : node_(self, n, t, opts.batched_coin(), opts.batched_mw(self),
-            opts.batched_votes()) {
+    : node_(self, n, t, batch_framing(opts, self)) {
   world_.self = self;
   world_.n = n;
   world_.t = t;

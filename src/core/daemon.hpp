@@ -39,6 +39,9 @@
 
 namespace svss {
 
+// Slot `slot`'s batching framing under `opts`, MW override applied.
+BatchFraming batch_framing(const TransportOptions& opts, int slot);
+
 class NodeDaemon {
  public:
   // Seeding matches Engine (Rng(seed).split(self)), so a daemon fleet

@@ -2,8 +2,7 @@
 
 namespace svss {
 
-Node::Node(int self, int n, int t, bool batched_coin, bool batched_mw,
-           bool batched_votes)
+Node::Node(int self, int n, int t, BatchFraming framing)
     : self_(self), n_(n), t_(t),
       rbc_([this](Context& ctx, int origin, const Message& m) {
         // Accepted broadcasts re-enter routing with the origin as sender;
@@ -16,74 +15,26 @@ Node::Node(int self, int n, int t, bool batched_coin, bool batched_mw,
           [this](Context& ctx, int from, const Message& m, bool via_rb) {
             route_app(ctx, from, m, via_rb);
           },
-      }) {
-  if (batched_coin) {
-    batch_ = std::make_unique<BatchedSvssTransport>(self, n, t);
-  }
-  if (batched_mw) {
-    mw_batch_ = std::make_unique<MwGroupTransport>(self, n, t);
-  }
-  if (batched_votes) {
-    vote_batch_ = std::make_unique<AbaVoteBatcher>(self, n);
-  }
-}
+      }),
+      batch_(*this, self, n, t, framing) {}
 
-// The MW capture window brackets whole delivery cascades: everything a
-// delivery (or the start action) makes the sessions emit is coalesced and
-// flushed before control returns to the engine, so batching is pure
-// framing — no message ever survives a cascade uncaptured or unsent.
-bool Node::open_mw_window() {
-  if (!mw_batch_ || mw_batch_->window_open()) return false;
-  mw_batch_->open_window();
-  return true;
-}
-
-void Node::close_mw_window(Context& ctx) {
-  if (mw_batch_->close_window_if_empty()) return;
-  mw_batch_->close_window(
-      ctx, MwGroupTransport::EmitFns{
-               [this](Context& c, const Message& m) { rbc_.broadcast(c, m); },
-               [](Context& c, int to, Message m) {
-                 c.send(to, make_direct(std::move(m)));
-               },
-           });
-}
-
-bool Node::open_vote_window() {
-  if (!vote_batch_ || vote_batch_->window_open()) return false;
-  vote_batch_->open_window();
-  return true;
-}
-
-void Node::close_vote_window(Context& ctx) {
-  if (vote_batch_->close_window_if_empty()) return;
-  vote_batch_->close_window(
-      ctx, AbaVoteBatcher::EmitFns{
-               [this](Context& c, const Message& m) { rbc_.broadcast(c, m); },
-               [](Context& c, int to, Message m) {
-                 c.send(to, make_direct(std::move(m)));
-               },
-           });
-}
-
+// The capture window brackets whole delivery cascades: everything a
+// delivery (or the start action) makes the sessions emit is flushed before
+// control returns to the engine.
 void Node::start(Context& ctx) {
-  const bool windowed = open_mw_window();
-  const bool vote_windowed = open_vote_window();
+  const bool windowed = batch_.open_window();
   if (start_action_) start_action_(ctx, *this);
-  if (vote_windowed) close_vote_window(ctx);
-  if (windowed) close_mw_window(ctx);
+  if (windowed) batch_.close_window(ctx);
 }
 
 void Node::on_packet(Context& ctx, int from, const Packet& p) {
-  const bool windowed = open_mw_window();
-  const bool vote_windowed = open_vote_window();
+  const bool windowed = batch_.open_window();
   if (p.is_rb) {
     rbc_.on_transport(ctx, from, p);
   } else {
     route_app(ctx, from, p.app, /*via_rb=*/false);
   }
-  if (vote_windowed) close_vote_window(ctx);
-  if (windowed) close_mw_window(ctx);
+  if (windowed) batch_.close_window(ctx);
 }
 
 bool Node::sane_sid(const SessionId& sid) const {
@@ -97,8 +48,8 @@ bool Node::sane_sid(const SessionId& sid) const {
              pid_ok(sid.svss_dealer) && sid.owner != sid.moderator &&
              sid.variant <= 1;
     case SessionPath::kMwInSvssCoin:
-      // Variants 2-3 are the group-envelope sid space (variant - 2 encodes
-      // the children's variant); only kMwBatch* messages may use them.
+      // Variants 2-3 are the MW envelope sid space (variant - 2 encodes
+      // the children's variant); only envelopes may use them.
       return pid_ok(sid.owner) && pid_ok(sid.moderator) &&
              pid_ok(sid.svss_dealer) && sid.owner != sid.moderator &&
              sid.variant <= 3;
@@ -116,68 +67,28 @@ bool Node::sane_sid(const SessionId& sid) const {
 void Node::route_app(Context& ctx, int sender, const Message& m,
                      bool via_rb) {
   if (!sane_sid(m.sid)) return;
+  // An envelope splits into per-session messages, each of which re-enters
+  // this routing.  Understood unconditionally, so batched and per-session
+  // peers interoperate.
+  if (batch_.unpack(ctx, sender, m, via_rb)) return;
   switch (m.sid.path) {
     case SessionPath::kMwTop:
     case SessionPath::kMwInSvssTop:
-    case SessionPath::kMwInSvssCoin: {
-      if (MwGroupTransport::is_batch_type(m.type)) {
-        // Group envelope: split into the per-session messages and run each
-        // through the normal per-session path (DMM filter and recon rules
-        // included).  Understood unconditionally, so batched and unbatched
-        // peers interoperate.
-        MwGroupTransport::unpack(
-            ctx, n_, t_, sender, m, via_rb,
-            [this](Context& c, int s, const Message& sub, bool rb) {
-              deliver_mw(c, s, sub, rb);
-            });
-        return;
-      }
-      // Envelope sid space carrying a non-envelope type: no session lives
-      // at variants 2-3.
+    case SessionPath::kMwInSvssCoin:
+      // No session lives in the envelope sid space (variants 2-3).
       if (m.sid.variant > 1) return;
       deliver_mw(ctx, sender, m, via_rb);
       return;
-    }
     case SessionPath::kSvssTop:
-    case SessionPath::kSvssCoin: {
-      if (BatchedSvssTransport::is_batch_type(m.type)) {
-        // Shared-transport envelope: split into the per-session messages
-        // and run each through the normal per-session path (DMM filter
-        // included).  Understood unconditionally, so batched and
-        // unbatched peers interoperate.
-        BatchedSvssTransport::unpack(
-            ctx, n_, t_, sender, m, via_rb,
-            [this](Context& c, int s, const Message& sub, bool rb) {
-              deliver_svss(c, s, sub, rb);
-            });
-        return;
-      }
+    case SessionPath::kSvssCoin:
       deliver_svss(ctx, sender, m, via_rb);
       return;
-    }
     case SessionPath::kCoin:
       if (via_rb && m.sid.counter <= kMaxN * kMaxN) {
         coin(ctx, m.sid.instance, m.sid.counter).on_broadcast(ctx, sender, m);
       }
       return;
     case SessionPath::kAba: {
-      if (AbaVoteBatcher::is_batch_type(m.type)) {
-        // Cross-instance vote envelope: split into the per-session votes
-        // and run each through the normal per-instance path (AbaSession
-        // re-applies the full vote validation).  Understood
-        // unconditionally, so batched and unbatched peers interoperate.
-        AbaVoteBatcher::unpack(
-            ctx, sender, m, via_rb,
-            [this](Context& c, int s, const Message& sub, bool rb) {
-              AbaSession& session = aba_instance(sub.sid.instance);
-              if (rb) {
-                session.on_broadcast(c, s, sub);
-              } else {
-                session.on_direct(c, s, sub);
-              }
-            });
-        return;
-      }
       // Variant 4 is the vote-envelope sid space; no session lives there.
       if (m.sid.variant >= 4) return;
       // variant 0 = the SVSS-coin agreement protocol; variant 1 = the
@@ -298,14 +209,12 @@ void Node::start_aba(Context& ctx, int input, CoinMode mode,
                      std::uint64_t common_seed, std::uint32_t instance) {
   aba_mode_ = mode;
   aba_seed_ = common_seed;
-  // Bracket with the capture windows so out-of-cascade submissions (a
+  // Bracket with the capture window so out-of-cascade submissions (a
   // daemon's submit() between polls) still get batched framing; inside a
-  // delivery cascade the windows are already open and these are no-ops.
-  const bool windowed = open_mw_window();
-  const bool vote_windowed = open_vote_window();
+  // delivery cascade the window is already open and this is a no-op.
+  const bool windowed = batch_.open_window();
   aba_instance(instance).start(ctx, input);
-  if (vote_windowed) close_vote_window(ctx);
-  if (windowed) close_mw_window(ctx);
+  if (windowed) batch_.close_window(ctx);
 }
 
 AbaSession& Node::aba_instance(std::uint32_t instance) {
@@ -440,52 +349,24 @@ const CoinSession* Node::find_coin(std::uint32_t instance,
 // Host plumbing
 // ---------------------------------------------------------------------
 void Node::rb_broadcast(Context& ctx, const Message& m) {
-  if (vote_batch_ && vote_batch_->window_open() &&
-      vote_batch_->capture_broadcast(m)) {
-    // Coalesced into the cascade's kAbaBatchConf envelope; flushed when
-    // the vote window closes.
-    return;
-  }
-  if (mw_batch_ && mw_batch_->window_open() &&
-      mw_batch_->capture_broadcast(m)) {
-    // Coalesced into the group's kMwBatch* envelope; flushed when the
-    // current delivery cascade's window closes.
-    return;
-  }
-  if (batch_ && m.type == MsgType::kSvssGset &&
-      m.sid.path == SessionPath::kSvssCoin && m.sid.owner == self_) {
-    // Batch the n sibling sessions' G-sets into one RBC instance: the
-    // shared echo/ready rounds replace n per-session ones.  The combined
-    // broadcast goes out when the last sibling produced its set.
-    if (auto batched = batch_->capture_gset(m)) {
-      rbc_.broadcast(ctx, *batched);
-    }
-    return;
-  }
+  if (batch_.capture(ctx, batch::kBroadcast, m)) return;
   rbc_.broadcast(ctx, m);
 }
 
 void Node::send_direct(Context& ctx, int to, Message m) {
-  if (vote_batch_ && vote_batch_->window_open() &&
-      vote_batch_->capture_direct(to, m)) {
-    return;
-  }
-  if (mw_batch_ && mw_batch_->window_open() &&
-      mw_batch_->capture_direct(to, m)) {
-    return;
-  }
-  if (batch_ && batch_->capture_dealer_shares(to, m)) return;
+  if (batch_.capture(ctx, to, m)) return;
   ctx.send(to, make_direct(std::move(m)));
 }
 
-void Node::svss_batch_window(Context& ctx, std::uint32_t instance,
-                             std::uint32_t round, bool open) {
-  if (!batch_) return;
-  if (open) {
-    batch_->open_window(instance, round);
-  } else {
-    batch_->close_window(ctx);
-  }
+void Node::emit_direct(Context& ctx, int to, Message m) {
+  ctx.send(to, make_direct(std::move(m)));
+}
+
+void Node::emit_rb(Context& ctx, const Message& m) { rbc_.broadcast(ctx, m); }
+
+void Node::deliver_sub(Context& ctx, int sender, const Message& sub,
+                       bool via_rb) {
+  route_app(ctx, sender, sub, via_rb);
 }
 
 MwSvssSession& Node::mw_child(Context& ctx, const SessionId& child) {

@@ -7,6 +7,7 @@
 //
 //   network packet
 //     -> RB transport state machine (if transport)       [rbc/]
+//     -> envelopes split into per-session messages       [batch/]
 //     -> application routing by session path
 //          VSS layers pass the DMM filter: session-ordered discard
 //          (rule 4), delay (rule 5); reconstruct broadcasts resolve
@@ -14,7 +15,9 @@
 //     -> per-session state machine                       [mwsvss/ svss/ ...]
 //
 // and routes completion events upward (MW-SVSS -> SVSS -> coin -> ABA,
-// ABA decisions -> ACS -> secure sum).
+// ABA decisions -> ACS -> secure sum).  Outbound per-session messages pass
+// the batching layer's capture window, which one open/close pair brackets
+// around every delivery cascade.
 #pragma once
 
 #include <functional>
@@ -26,14 +29,12 @@
 
 #include "aba/aba.hpp"
 #include "aba/local_coin_aba.hpp"
-#include "aba/vote_batch.hpp"
 #include "aba/multivalued.hpp"
 #include "acs/acs.hpp"
 #include "asmpc/secure_sum.hpp"
-#include "coin/batched_transport.hpp"
+#include "batch/batch.hpp"
 #include "coin/coin.hpp"
 #include "dmm/dmm.hpp"
-#include "mwsvss/group_transport.hpp"
 #include "mwsvss/mwsvss.hpp"
 #include "rbc/rbc.hpp"
 #include "sim/engine.hpp"
@@ -65,18 +66,12 @@ class Node : public IProcess,
              public AbaHost,
              public AcsHost,
              public SecureSumHost,
-             public MvbaHost {
+             public MvbaHost,
+             public BatchHost {
  public:
-  // `batched_coin` multiplexes the n coin-owned SVSS sessions per round
-  // over the shared transport envelopes (src/coin/batched_transport.hpp);
-  // `batched_mw` coalesces the coin-nested MW-SVSS child traffic under
-  // group envelopes (src/mwsvss/group_transport.hpp); `batched_votes`
-  // coalesces agreement votes across concurrent instances and rounds
-  // (src/aba/vote_batch.hpp).  Inbound envelopes are always understood,
-  // so batched and unbatched nodes interoperate; the flags only select
-  // this node's *own* outbound framing.
-  Node(int self, int n, int t, bool batched_coin = true,
-       bool batched_mw = true, bool batched_votes = true);
+  // `framing` selects this node's own outbound framing per batching
+  // client (src/batch/batch.hpp).
+  Node(int self, int n, int t, BatchFraming framing);
 
   // Invoked once by the engine before any delivery; used by runners to
   // kick off deals / agreement inputs.
@@ -148,8 +143,6 @@ class Node : public IProcess,
   SvssSession& svss_child(Context& ctx, const SessionId& sid) override;
   void coin_output(Context& ctx, std::uint32_t instance, std::uint32_t round,
                    int bit) override;
-  void svss_batch_window(Context& ctx, std::uint32_t instance,
-                         std::uint32_t round, bool open) override;
   void start_coin(Context& ctx, std::uint32_t instance,
                   std::uint32_t round) override;
   void aba_entered_round(Context& ctx, std::uint32_t instance,
@@ -164,24 +157,20 @@ class Node : public IProcess,
   void sum_vouch(Context& ctx, int dealer) override;
   void mvba_start_acs(Context& ctx, Bytes proposal) override;
 
+  // --- BatchHost ---
+  void emit_direct(Context& ctx, int to, Message m) override;
+  void emit_rb(Context& ctx, const Message& m) override;
+  void deliver_sub(Context& ctx, int sender, const Message& sub,
+                   bool via_rb) override;
+
  private:
   void route_app(Context& ctx, int sender, const Message& m, bool via_rb);
-  // DMM-filtered per-session delivery for the SVSS layers (both the direct
-  // path and the sub-messages of unpacked batch envelopes).
+  // DMM-filtered per-session delivery for the SVSS layers.
   void deliver_svss(Context& ctx, int sender, const Message& m, bool via_rb);
   // Same for the MW layer: DMM filter, recon-expectation rules 2-3, then
-  // the per-session state machine.  Sub-messages of unpacked kMwBatch*
-  // envelopes take exactly this path, so batching never skips a rule.
+  // the per-session state machine.  Sub-messages of unpacked envelopes
+  // re-enter route_app, so batching never skips a rule.
   void deliver_mw(Context& ctx, int sender, const Message& m, bool via_rb);
-  // Bracket one delivery cascade with the MW group-capture window (plain
-  // open/close calls, not a callable wrapper — this is the per-delivery
-  // hot path).  open returns true iff this call opened the window, i.e.
-  // the caller owns the matching close.
-  bool open_mw_window();
-  void close_mw_window(Context& ctx);
-  // Same bracketing for the cross-instance agreement-vote batcher.
-  bool open_vote_window();
-  void close_vote_window(Context& ctx);
   AbaSession& aba_instance(std::uint32_t instance);
   // DMM-accepted traffic of an SVSS-coin session: joins that coin round
   // once the local agreement instance has entered it (see aba/aba.hpp).
@@ -193,12 +182,7 @@ class Node : public IProcess,
   int t_;
   Rbc rbc_;
   Dmm dmm_;
-  // Present iff this node deals its coin rounds batched.
-  std::unique_ptr<BatchedSvssTransport> batch_;
-  // Present iff this node coalesces its coin-nested MW child traffic.
-  std::unique_ptr<MwGroupTransport> mw_batch_;
-  // Present iff this node coalesces agreement votes across instances.
-  std::unique_ptr<AbaVoteBatcher> vote_batch_;
+  Batcher batch_;
   // Flat tables (common/flat_map.hpp): session lookup is the per-delivery
   // routing cost, so these sit on the hot path.  Sessions are never erased.
   FlatMap<SessionId, std::unique_ptr<MwSvssSession>, SessionIdHash> mw_;

@@ -128,7 +128,7 @@ Runner::Runner(RunnerConfig cfg) : cfg_(validate(std::move(cfg))) {
   for (int i = 0; i < cfg_.n; ++i) {
     std::uint64_t slot_seed =
         cfg_.seed * 1315423911ULL + static_cast<std::uint64_t>(i);
-    bool batched_mw = cfg_.transport.batched_mw(i);
+    const BatchFraming framing = batch_framing(cfg_.transport, i);
     auto fit = cfg_.faults.find(i);
     Engine::Interceptor wire;
     if (fit != cfg_.faults.end() && fit->second.kind != ByzKind::kHonest) {
@@ -140,8 +140,7 @@ Runner::Runner(RunnerConfig cfg) : cfg_(validate(std::move(cfg))) {
       // Adversary slot: the strategy replaces the honest Node.  Its
       // outbound gate runs first; a ByzConfig wire interceptor for the
       // same slot composes on top of whatever the strategy emits.
-      AdversaryEnv env{i, cfg_.n, cfg_.t, slot_seed,
-                       cfg_.transport.batched_coin(), batched_mw};
+      AdversaryEnv env{i, cfg_.n, cfg_.t, slot_seed, framing};
       std::unique_ptr<AdversarySlot> slot = ait->second(env);
       if (!slot) throw std::invalid_argument("Runner: null adversary slot");
       advs_[static_cast<std::size_t>(i)] = slot.get();
@@ -154,10 +153,7 @@ Runner::Runner(RunnerConfig cfg) : cfg_(validate(std::move(cfg))) {
           });
       continue;
     }
-    auto node = std::make_unique<Node>(i, cfg_.n, cfg_.t,
-                                       cfg_.transport.batched_coin(),
-                                       batched_mw,
-                                       cfg_.transport.batched_votes());
+    auto node = std::make_unique<Node>(i, cfg_.n, cfg_.t, framing);
     nodes_[static_cast<std::size_t>(i)] = node.get();
     engine.set_process(i, std::move(node));
     if (wire) engine.set_interceptor(i, std::move(wire));

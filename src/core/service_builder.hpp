@@ -210,18 +210,6 @@ class ServiceBuilder {
     options_.kind = value;
     return *this;
   }
-  ServiceBuilder& coin_framing(Framing value) {
-    options_.coin_dealing = value;
-    return *this;
-  }
-  ServiceBuilder& mw_framing(Framing value) {
-    options_.mw_children = value;
-    return *this;
-  }
-  ServiceBuilder& vote_framing(Framing value) {
-    options_.aba_votes = value;
-    return *this;
-  }
   ServiceBuilder& fault(int id, ByzConfig behaviour) {
     faults_[id] = behaviour;
     return *this;

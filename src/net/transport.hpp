@@ -1,10 +1,10 @@
 // The transport seam: one narrow interface between the protocol stack and
 // whatever moves packets between processes.
 //
-// Every layer above this header (core::Node, the coin/MW batching
-// transports, the adversary strategies) speaks to the network through a
-// Context, and a Context speaks to exactly one ITransport endpoint.  Two
-// backends implement the seam:
+// Every layer above this header (core::Node, the batching layer, the
+// adversary strategies) speaks to the network through a Context, and a
+// Context speaks to exactly one ITransport endpoint.  Two backends
+// implement the seam:
 //
 //   * sim::Engine — the deterministic discrete-event simulator.  One
 //     engine hosts all n endpoints (Engine::transport(id)); delivery runs
@@ -77,12 +77,13 @@ enum class TransportKind : std::uint8_t {
                     // one thread per endpoint (non-deterministic schedule)
 };
 
-// Named wire framings for the two batching layers.  kBatched is the
-// measured default (PR 4/5); kPerSession is the unbatched reference
-// framing the equivalence harness compares against.
+// Named wire framings for the batching layer's three clients (coin
+// dealing, MW children, agreement votes; src/batch/batch.hpp).  kBatched
+// is the measured default; kPerSession is the unbatched reference framing
+// the equivalence harness compares against.
 enum class Framing : std::uint8_t {
   kPerSession,  // one message / RBC instance per protocol session
-  kBatched,     // shared envelopes (coin dealing batch, MW group coalesce)
+  kBatched,     // shared envelopes
 };
 
 // The transport surface of a run, collapsed into one struct.  Framings are
@@ -93,24 +94,10 @@ struct TransportOptions {
   TransportKind kind = TransportKind::kSim;
   Framing coin_dealing = Framing::kBatched;
   Framing mw_children = Framing::kBatched;
-  // Cross-instance agreement-vote coalescing (src/aba/vote_batch.hpp).
+  // Cross-instance agreement-vote coalescing.
   Framing aba_votes = Framing::kBatched;
   // Per-slot override of mw_children (mixed-fleet experiments).
   std::map<int, Framing> mw_children_override;
-
-  [[nodiscard]] bool batched_coin() const {
-    return coin_dealing == Framing::kBatched;
-  }
-  [[nodiscard]] bool batched_votes() const {
-    return aba_votes == Framing::kBatched;
-  }
-  [[nodiscard]] bool batched_mw(int slot) const {
-    auto it = mw_children_override.find(slot);
-    if (it != mw_children_override.end()) {
-      return it->second == Framing::kBatched;
-    }
-    return mw_children == Framing::kBatched;
-  }
 };
 
 }  // namespace svss

@@ -36,6 +36,10 @@ enum class SessionPath : std::uint8_t {
 
 // Number of attachees encodable in an SVSS-in-coin counter (round*kMaxN+j).
 inline constexpr std::uint32_t kMaxN = 128;
+// Per-instance agreement round ceiling, also used to namespace the
+// ideal-coin seed mix (instance * kCoinRoundsPerInstance + round), so
+// instance 0's bit stream is unchanged from single-instance runs.
+inline constexpr std::uint32_t kCoinRoundsPerInstance = 4096;
 
 struct SessionId {
   SessionPath path = SessionPath::kTest;
@@ -70,7 +74,9 @@ struct SessionId {
 std::optional<SessionId> parent_session(const SessionId& sid);
 
 // Message types across all layers.  One flat enum keeps serialization and
-// logging trivial; each protocol only consumes its own values.
+// logging trivial; each protocol only consumes its own values.  The values
+// are wire format, and the batching layer's codecs (src/batch/codec.hpp)
+// name each client's per-session and envelope types as contiguous ranges.
 enum class MsgType : std::uint8_t {
   // --- MW-SVSS (Section 3.2) ---
   kMwDealerShares = 1,  // dealer -> j: f_1(j) .. f_n(j)           (direct)
@@ -83,7 +89,7 @@ enum class MsgType : std::uint8_t {
   kMwMset = 8,          // moderator: the accepted monitor set M   (RB)
   kMwOk = 9,            // dealer: OK                              (RB)
   kMwReconVal = 10,     // j: (l, f_l(j)) in reconstruct           (RB)
-  // --- group-coalesced MW transport (src/mwsvss/group_transport) ---
+  // --- MW envelopes (src/batch/mw_codec.cpp) ---
   // One envelope coalesces the same-type messages a sender emits, within
   // one delivery cascade, for the n sibling MW children (attachees) of one
   // (round, dealer, owner, moderator, variant) coin group.  Direct
@@ -99,7 +105,7 @@ enum class MsgType : std::uint8_t {
   // --- SVSS (Section 4) ---
   kSvssDealerShares = 20,  // dealer -> j: g_j, h_j points         (direct)
   kSvssGset = 21,          // dealer: G and {G_j}                  (RB)
-  // --- batched coin-round SVSS transport (src/coin/batched_transport) ---
+  // --- coin-round SVSS envelopes (src/batch/coin_codec.cpp) ---
   kSvssBatchShares = 22,   // dealer -> j: all n sessions' g/h pts (direct)
   kSvssBatchGset = 23,     // dealer: all n sessions' G-set blobs  (RB)
   // --- Common coin (Section 5) ---
@@ -107,7 +113,7 @@ enum class MsgType : std::uint8_t {
   kCoinStartRecon = 31, // i: entering reconstruction, support set (RB)
   // --- Byzantine agreement ---
   kAbaVote = 40,        // (round, phase, value)                   (RB)
-  // --- cross-instance vote transport (src/aba/vote_batch) ---
+  // --- cross-instance vote envelopes (src/batch/vote_codec.cpp) ---
   // One envelope coalesces every ABA vote a sender emits within one
   // delivery cascade, across all concurrent instances and rounds: at scale
   // nearly 100% of ideal-coin agreement bytes are aba-vote, so this is the

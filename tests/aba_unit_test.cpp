@@ -296,6 +296,7 @@ TEST_F(AbaUnit, IdealCoinModeSuppliesCoinAtEveryRoundEntry) {
 // Node: joining an SVSS coin round on peer contact
 // ------------------------------------------------------------------
 struct CoinJoin : public AbaUnit {
+  static constexpr BatchFraming kBatched{true, true, true};
   // A direct message of peer 1's SVSS-coin session for (instance, round).
   // The payload is malformed on purpose: contact is about the session id
   // passing the DMM filter, not about the session accepting the message.
@@ -325,7 +326,7 @@ struct CoinJoin : public AbaUnit {
 
 TEST_F(CoinJoin, JoinsAtOnceWhenRoundAlreadyEntered) {
   Context ctx(engine, 0);
-  Node node(0, kN, kT);
+  Node node(0, kN, kT, kBatched);
   node.start_aba(ctx, 1, CoinMode::kSvss, 0, /*instance=*/5);
   EXPECT_FALSE(joined(node, 5, 1));  // entering round 1 deals nothing
   node.on_packet(ctx, 1, contact(5, 1));
@@ -338,7 +339,7 @@ TEST_F(CoinJoin, JoinsAtOnceWhenRoundAlreadyEntered) {
 
 TEST_F(CoinJoin, NestedMwTrafficCountsAsContact) {
   Context ctx(engine, 0);
-  Node node(0, kN, kT);
+  Node node(0, kN, kT, kBatched);
   node.start_aba(ctx, 1, CoinMode::kSvss);
   node.on_packet(ctx, 1, mw_contact(0, 1));
   EXPECT_TRUE(joined(node, 0, 1));
@@ -346,7 +347,7 @@ TEST_F(CoinJoin, NestedMwTrafficCountsAsContact) {
 
 TEST_F(CoinJoin, EarlyContactJoinsOnRoundEntry) {
   Context ctx(engine, 0);
-  Node node(0, kN, kT);
+  Node node(0, kN, kT, kBatched);
   // Peers dealt coin round 1 of instance 2 before this process started
   // the instance: remembered, not acted on.
   node.on_packet(ctx, 1, contact(2, 1));
@@ -357,7 +358,7 @@ TEST_F(CoinJoin, EarlyContactJoinsOnRoundEntry) {
 
 TEST_F(CoinJoin, ContactForUnenteredRoundStartsNothing) {
   Context ctx(engine, 0);
-  Node node(0, kN, kT);
+  Node node(0, kN, kT, kBatched);
   node.start_aba(ctx, 1, CoinMode::kSvss);
   // A faulty peer cannot pull coins ahead of the agreement: rounds this
   // instance has not entered, instances it never started, and round ids
@@ -373,7 +374,7 @@ TEST_F(CoinJoin, ContactForUnenteredRoundStartsNothing) {
 
 TEST_F(CoinJoin, IdealCoinInstanceIgnoresContact) {
   Context ctx(engine, 0);
-  Node node(0, kN, kT);
+  Node node(0, kN, kT, kBatched);
   node.start_aba(ctx, 1, CoinMode::kIdealCommon, 7);
   node.on_packet(ctx, 1, contact(0, 1));
   EXPECT_FALSE(joined(node, 0, 1));

@@ -293,5 +293,35 @@ TEST(AdversaryComposition, WireInterceptorStacksOnStrategy) {
   EXPECT_TRUE(withheld_somewhere) << "no M-set was ever withheld (vacuous)";
 }
 
+// ------------------------------------------------------------------
+// Framing reaches adversary slots
+// ------------------------------------------------------------------
+TEST(AdversaryFraming, PerSessionVotesHoldForEveryStrategy) {
+  // Strategies host honest-code Nodes; those must frame their votes the
+  // way the run does, or a per-session run still carries vote envelopes.
+  for (StrategyKind kind :
+       {StrategyKind::kEquivocatingDealer, StrategyKind::kAdaptiveShunAware,
+        StrategyKind::kWithholdingModerator, StrategyKind::kColludingCabal,
+        StrategyKind::kEquivocatingAcsProposer}) {
+    std::uint64_t envelopes = 0;
+    std::uint64_t votes = 0;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      auto cfg = base_config(4, seed);
+      cfg.transport.aba_votes = Framing::kPerSession;
+      adversary::install_adversary(cfg, 3, AdversaryConfig{kind, 0});
+      Runner r(cfg);
+      auto res = r.run_aba(mixed_inputs(4), CoinMode::kSvss);
+      auto pkts = [&](MsgType type) {
+        return res.metrics.packets_by_type[static_cast<std::size_t>(type)];
+      };
+      envelopes +=
+          pkts(MsgType::kAbaBatchVote) + pkts(MsgType::kAbaBatchConf);
+      votes += pkts(MsgType::kAbaVote);
+    }
+    EXPECT_EQ(envelopes, 0u) << adversary::strategy_name(kind);
+    EXPECT_GT(votes, 0u) << adversary::strategy_name(kind);
+  }
+}
+
 }  // namespace
 }  // namespace svss

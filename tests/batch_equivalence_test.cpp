@@ -1,12 +1,11 @@
 // Differential equivalence across wire framings (tests/equivalence_common).
 //
-// Two batched transports change the protocol's framing without touching
-// its content: the coin-dealing batcher (src/coin/batched_transport, PR 4)
-// and the MW child-traffic coalescer (src/mwsvss/group_transport).  The
-// harness in equivalence_common.hpp states what "without touching content"
-// means — identical reconstructed values for honest dealers, matching
-// clean verdicts, sound shunning, deterministic replay — over the full
-// seeds x adversary-strategies x SchedulerKinds grid.  This file
+// Two batching clients change the protocol's framing without touching
+// its content: coin-round dealing and the MW child traffic (src/batch/).
+// The harness in equivalence_common.hpp states what "without touching
+// content" means — identical reconstructed values for honest dealers,
+// matching clean verdicts, sound shunning, deterministic replay — over the
+// full seeds x adversary-strategies x SchedulerKinds grid.  This file
 // instantiates it for the three variant pairs: MW coalescing alone,
 // coin-dealing batching alone, and the combined (default) mode, each
 // against the fully per-session framing.

@@ -1,10 +1,10 @@
 // Differential equivalence harness for wire-framing variants.
 //
-// The batched transports (src/coin/batched_transport, the PR-4 coin-dealing
-// batcher, and src/mwsvss/group_transport, the MW child-traffic coalescer)
-// are *framing* changes: sessions run unmodified per-session code in the
-// same order, so RNG consumption — and therefore every dealt polynomial
-// and secret — is identical per seed across framings.  What a framing may
+// The batching layer's clients (src/batch/: coin-round dealing, MW child
+// traffic, agreement votes) are *framing* changes: sessions run
+// unmodified per-session code in the same order, so RNG consumption — and
+// therefore every dealt polynomial and secret — is identical per seed
+// across framings.  What a framing may
 // legitimately change is the packet schedule (fewer, fatter packets), and
 // with it which G-sets freeze first and hence a coin's output bit; what it
 // must never change is any dealt or reconstructed value, termination, or

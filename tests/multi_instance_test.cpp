@@ -1,6 +1,6 @@
 // Multi-instance agreement: k concurrent instances multiplexed over one
 // node/transport stack (SessionId::instance + cross-instance vote
-// batching, src/aba/vote_batch.hpp).
+// batching, the vote client of src/batch/).
 //
 // Three properties pinned here:
 //

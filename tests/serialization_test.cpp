@@ -1,16 +1,11 @@
-// Unit tests: byte writer/reader round trips and malformed-input safety,
-// plus the MW group-envelope codec (pack at window close, unpack on
-// receive) against round trips and adversarially malformed payloads.
+// Unit tests: byte writer/reader round trips and malformed-input safety.
+// The batching layer's envelope codecs are covered by batch_codec_test.
 #include "common/serialization.hpp"
 
 #include <gtest/gtest.h>
 
 #include <utility>
 #include <vector>
-
-#include "mwsvss/group_transport.hpp"
-#include "sim/engine.hpp"
-#include "sim/scheduler.hpp"
 
 namespace svss {
 namespace {
@@ -117,244 +112,16 @@ TEST(Serialization, SequentialReadsConsumeExactly) {
   EXPECT_FALSE(r.u8().has_value());
 }
 
-// ---------------------------------------------------------------------
-// MW group-envelope codec (mwsvss/group_transport): pack at window close
-// must round-trip through unpack, and a malformed envelope — whatever a
-// Byzantine sender frames — must be dropped whole: no crash, no partial
-// delivery, no double delivery.
-// ---------------------------------------------------------------------
-
-// A coin-nested MW child session id: round 5, attachee j.
-SessionId mw_child(int j, std::uint8_t variant = 0) {
-  SessionId sid;
-  sid.path = SessionPath::kMwInSvssCoin;
-  sid.variant = variant;
-  sid.owner = 1;
-  sid.moderator = 2;
-  sid.svss_dealer = 3;
-  sid.counter = 5 * kMaxN + static_cast<std::uint32_t>(j);
-  return sid;
-}
-
-// Runs the receiver path on one envelope and collects the per-session
-// sub-messages it hands to the routing sink.
-std::vector<Message> unpack_all(const Message& env, bool via_rb,
-                                int n = 4) {
-  Engine e(n, 1, 1, std::make_unique<FifoScheduler>());
-  Context ctx(e, 0);
-  std::vector<Message> out;
-  MwGroupTransport::unpack(ctx, n, 1, /*sender=*/2, env, via_rb,
-                           [&](Context&, int, const Message& sub, bool) {
-                             out.push_back(sub);
-                           });
-  return out;
-}
-
-Message envelope(MsgType type, std::vector<int> ints = {},
-                 FieldVec vals = {}) {
-  Message m;
-  m.sid = MwGroupTransport::group_sid(mw_child(0));
-  m.type = type;
-  m.ints = std::move(ints);
-  m.vals = std::move(vals);
-  return m;
-}
-
-TEST(MwGroupCodec, GroupAndChildSidsAreInverse) {
-  for (int j : {0, 1, 3}) {
-    for (std::uint8_t variant : {std::uint8_t{0}, std::uint8_t{1}}) {
-      SessionId child = mw_child(j, variant);
-      SessionId group = MwGroupTransport::group_sid(child);
-      EXPECT_EQ(group.variant, 2 + variant);
-      EXPECT_EQ(group.counter % kMaxN, 0u);
-      EXPECT_EQ(MwGroupTransport::child_sid(group, j), child);
-    }
-  }
-}
-
-TEST(MwGroupCodec, RoundTripReproducesPerSessionMessages) {
-  MwGroupTransport tx(1, 4, 1);
-  tx.open_window();
-
-  for (int j = 0; j < 4; ++j) {
-    Message ack;
-    ack.sid = mw_child(j);
-    ack.type = MsgType::kMwAck;
-    ASSERT_TRUE(tx.capture_broadcast(ack));
-  }
-  Message lset;
-  lset.sid = mw_child(2);
-  lset.type = MsgType::kMwLset;
-  lset.ints = {0, 1, 3};
-  ASSERT_TRUE(tx.capture_broadcast(lset));
-  Message recon;
-  recon.sid = mw_child(1);
-  recon.type = MsgType::kMwReconVal;
-  recon.a = 3;
-  recon.vals = {Fp(77)};
-  ASSERT_TRUE(tx.capture_broadcast(recon));
-  Message echo;
-  echo.sid = mw_child(0);
-  echo.type = MsgType::kMwEchoVal;
-  echo.vals = {Fp(5)};
-  ASSERT_TRUE(tx.capture_direct(2, echo));
-  Message shares;
-  shares.sid = mw_child(3);
-  shares.type = MsgType::kMwDealerShares;
-  shares.vals = {Fp(8), Fp(9), Fp(10), Fp(11)};
-  ASSERT_TRUE(tx.capture_direct(2, shares));
-
-  std::vector<Message> rb_envs;
-  std::vector<std::pair<int, Message>> direct_envs;
-  Engine e(4, 1, 1, std::make_unique<FifoScheduler>());
-  Context ctx(e, 1);
-  tx.close_window(
-      ctx, MwGroupTransport::EmitFns{
-               [&](Context&, const Message& m) { rb_envs.push_back(m); },
-               [&](Context&, int to, Message m) {
-                 direct_envs.emplace_back(to, std::move(m));
-               }});
-
-  // One direct envelope (both sub-messages went to recipient 2) and one
-  // RB envelope per captured type: ack, L-set, recon.
-  ASSERT_EQ(direct_envs.size(), 1u);
-  EXPECT_EQ(direct_envs[0].first, 2);
-  ASSERT_EQ(rb_envs.size(), 3u);
-  EXPECT_EQ(rb_envs[0].type, MsgType::kMwBatchAck);
-  EXPECT_EQ(rb_envs[1].type, MsgType::kMwBatchLset);
-  EXPECT_EQ(rb_envs[2].type, MsgType::kMwBatchReconVal);
-
-  auto acks = unpack_all(rb_envs[0], /*via_rb=*/true);
-  ASSERT_EQ(acks.size(), 4u);
-  for (int j = 0; j < 4; ++j) {
-    EXPECT_EQ(acks[static_cast<std::size_t>(j)].sid, mw_child(j));
-    EXPECT_EQ(acks[static_cast<std::size_t>(j)].type, MsgType::kMwAck);
-  }
-
-  auto lsets = unpack_all(rb_envs[1], /*via_rb=*/true);
-  ASSERT_EQ(lsets.size(), 1u);
-  EXPECT_EQ(lsets[0].sid, mw_child(2));
-  EXPECT_EQ(lsets[0].ints, (std::vector<int>{0, 1, 3}));
-
-  auto recons = unpack_all(rb_envs[2], /*via_rb=*/true);
-  ASSERT_EQ(recons.size(), 1u);
-  EXPECT_EQ(recons[0].sid, mw_child(1));
-  EXPECT_EQ(recons[0].a, 3);
-  EXPECT_EQ(recons[0].vals, FieldVec{Fp(77)});
-
-  auto directs = unpack_all(direct_envs[0].second, /*via_rb=*/false);
-  ASSERT_EQ(directs.size(), 2u);
-  EXPECT_EQ(directs[0].sid, mw_child(0));
-  EXPECT_EQ(directs[0].type, MsgType::kMwEchoVal);
-  EXPECT_EQ(directs[0].vals, FieldVec{Fp(5)});
-  EXPECT_EQ(directs[1].sid, mw_child(3));
-  EXPECT_EQ(directs[1].type, MsgType::kMwDealerShares);
-  EXPECT_EQ(directs[1].vals, (FieldVec{Fp(8), Fp(9), Fp(10), Fp(11)}));
-}
-
-TEST(MwGroupCodec, WrongTransportClassIsRejected) {
-  // RB envelope arriving as a direct send, and vice versa.
-  EXPECT_TRUE(unpack_all(envelope(MsgType::kMwBatchAck, {0}),
-                         /*via_rb=*/false)
-                  .empty());
-  EXPECT_TRUE(unpack_all(envelope(MsgType::kMwBatchDirect,
-                                  {static_cast<int>(MsgType::kMwEchoVal),
-                                   0, 0}),
-                         /*via_rb=*/true)
-                  .empty());
-}
-
-TEST(MwGroupCodec, MalformedEnvelopeSidIsRejected) {
-  // A child-variant sid, a counter off the attachee-0 slot, and a stray
-  // blob are all outside the envelope shape.
-  Message env = envelope(MsgType::kMwBatchAck, {0});
-  env.sid.variant = 1;
-  EXPECT_TRUE(unpack_all(env, true).empty());
-
-  env = envelope(MsgType::kMwBatchAck, {0});
-  env.sid.counter += 1;
-  EXPECT_TRUE(unpack_all(env, true).empty());
-
-  env = envelope(MsgType::kMwBatchAck, {0});
-  env.blob = {0xFF};
-  EXPECT_TRUE(unpack_all(env, true).empty());
-}
-
-TEST(MwGroupCodec, AttacheeListEnvelopesRejectBadEntries) {
-  // Out-of-range attachees (n = 4), duplicates, and a payload the type
-  // never carries; a valid prefix must not leak through.
-  EXPECT_TRUE(unpack_all(envelope(MsgType::kMwBatchAck, {0, 4}), true)
-                  .empty());
-  EXPECT_TRUE(unpack_all(envelope(MsgType::kMwBatchOk, {-1}), true)
-                  .empty());
-  EXPECT_TRUE(unpack_all(envelope(MsgType::kMwBatchAck, {2, 1, 2}), true)
-                  .empty());
-  EXPECT_TRUE(unpack_all(envelope(MsgType::kMwBatchOk, {0}, {Fp(1)}), true)
-                  .empty());
-}
-
-TEST(MwGroupCodec, SetRunEnvelopesRejectTruncation) {
-  // (j, len, members...) runs: short header, length past the end,
-  // negative length, duplicate session.
-  EXPECT_TRUE(unpack_all(envelope(MsgType::kMwBatchLset, {0}), true)
-                  .empty());
-  EXPECT_TRUE(unpack_all(envelope(MsgType::kMwBatchLset, {0, 5, 1, 2}),
-                         true)
-                  .empty());
-  EXPECT_TRUE(unpack_all(envelope(MsgType::kMwBatchMset, {0, -1}), true)
-                  .empty());
-  EXPECT_TRUE(
-      unpack_all(envelope(MsgType::kMwBatchMset, {1, 1, 0, 1, 1, 2}), true)
-          .empty());
-}
-
-TEST(MwGroupCodec, ReconEnvelopesRejectMalformedPairs) {
-  // Odd int run, value-count mismatch, out-of-range monitored poly,
-  // duplicate (attachee, poly) pair.
-  EXPECT_TRUE(unpack_all(envelope(MsgType::kMwBatchReconVal, {0, 1, 2},
-                                  {Fp(1)}),
-                         true)
-                  .empty());
-  EXPECT_TRUE(unpack_all(envelope(MsgType::kMwBatchReconVal, {0, 1},
-                                  {Fp(1), Fp(2)}),
-                         true)
-                  .empty());
-  EXPECT_TRUE(unpack_all(envelope(MsgType::kMwBatchReconVal, {0, 4},
-                                  {Fp(1)}),
-                         true)
-                  .empty());
-  EXPECT_TRUE(unpack_all(envelope(MsgType::kMwBatchReconVal,
-                                  {0, 1, 0, 1}, {Fp(1), Fp(2)}),
-                         true)
-                  .empty());
-}
-
-TEST(MwGroupCodec, DirectEnvelopesRejectMalformedTriples) {
-  const int echo = static_cast<int>(MsgType::kMwEchoVal);
-  // Triple run not a multiple of three, a sub-type outside the direct
-  // class, a length past the value vector, trailing unclaimed values,
-  // and a duplicated (type, attachee) sub-message.
-  EXPECT_TRUE(unpack_all(envelope(MsgType::kMwBatchDirect, {echo, 0}),
-                         false)
-                  .empty());
-  EXPECT_TRUE(
-      unpack_all(envelope(MsgType::kMwBatchDirect,
-                          {static_cast<int>(MsgType::kMwAck), 0, 0}),
-                 false)
-          .empty());
-  EXPECT_TRUE(unpack_all(envelope(MsgType::kMwBatchDirect, {echo, 0, 2},
-                                  {Fp(1)}),
-                         false)
-                  .empty());
-  EXPECT_TRUE(unpack_all(envelope(MsgType::kMwBatchDirect, {echo, 0, 1},
-                                  {Fp(1), Fp(2)}),
-                         false)
-                  .empty());
-  EXPECT_TRUE(unpack_all(envelope(MsgType::kMwBatchDirect,
-                                  {echo, 1, 1, echo, 1, 1},
-                                  {Fp(1), Fp(2)}),
-                         false)
-                  .empty());
+TEST(Serialization, WriterAppendsToAnExistingBuffer) {
+  Writer first;
+  first.u32(1);
+  Writer w(std::move(first).take());
+  w.u32(2);
+  Bytes buf = std::move(w).take();
+  Reader r(buf);
+  EXPECT_EQ(r.u32(), 1u);
+  EXPECT_EQ(r.u32(), 2u);
+  EXPECT_TRUE(r.exhausted());
 }
 
 }  // namespace
