@@ -51,6 +51,8 @@ RunStatus SimCluster::run_until(const std::function<bool(int)>& done,
   // done() runs after *every* delivery, so it must be cheap.  It is
   // monotone, so satisfied slots drop off the waiting list and the typical
   // per-delivery cost is one predicate call, not a scan of every slot.
+  // Predicates keep that call O(1) where they can: run_submitted checks a
+  // node's decided-session count before scanning its instances.
   return engine_.run_until(
       [&done, &waited] {
         while (!waited.empty() && done(waited.back())) waited.pop_back();

@@ -456,6 +456,7 @@ void Node::aba_entered_round(Context& ctx, std::uint32_t instance,
 
 void Node::aba_decided(Context& ctx, int value, std::uint32_t round,
                        std::uint32_t instance) {
+  ++abas_decided_;  // AbaSession::decide calls this once per session
   if (acs_) acs_->on_aba_decided(ctx, instance, value);
   if (observers.aba_decided) {
     observers.aba_decided(ctx, value, round, instance);

@@ -112,6 +112,10 @@ class Node : public IProcess,
                                              std::uint32_t round) const;
   [[nodiscard]] AbaSession* aba(std::uint32_t instance = 0);
   [[nodiscard]] const AbaSession* aba(std::uint32_t instance = 0) const;
+  // Agreement sessions decided at this node so far, over all instances.
+  // Counted before observers.aba_decided runs, so it holds whatever a
+  // harness installs there; an O(1) lower bound for completion checks.
+  [[nodiscard]] std::size_t abas_decided() const { return abas_decided_; }
   [[nodiscard]] BenOrSession* benor() { return benor_.get(); }
   [[nodiscard]] const BenOrSession* benor() const { return benor_.get(); }
   [[nodiscard]] AcsSession* acs() { return acs_.get(); }
@@ -193,6 +197,7 @@ class Node : public IProcess,
   // joined by aba_entered_round.  Same key as coins_.
   std::unordered_set<std::uint64_t> coin_contact_;
   std::unordered_map<std::uint32_t, std::unique_ptr<AbaSession>> abas_;
+  std::size_t abas_decided_ = 0;
   std::unique_ptr<BenOrSession> benor_;
   std::unique_ptr<AcsSession> acs_;
   std::unique_ptr<SecureSumSession> sum_;

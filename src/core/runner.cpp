@@ -437,7 +437,11 @@ Runner::MultiAbaResult Runner::run_submitted(CoinMode mode) {
   }
   MultiAbaResult res;
   const std::map<std::uint32_t, std::vector<int>>& submitted = submitted_;
+  // Polled after every delivery.  The decided count rules out almost every
+  // call in O(1); the exact scan runs only once enough sessions decided, so
+  // the run stops at the same delivery as the scan alone.
   res.status = run_until_honest([&submitted](const Node& nd) {
+    if (nd.abas_decided() < submitted.size()) return false;
     for (const auto& [instance, inputs] : submitted) {
       const AbaSession* a = nd.aba(instance);
       if (a == nullptr || !a->decided()) return false;

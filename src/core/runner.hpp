@@ -168,8 +168,9 @@ class Runner {
     Metrics metrics;
     RunStatus status = RunStatus::kQuiescent;
   };
-  // Drives every submitted instance to decision concurrently.  Consumes
-  // the queue.
+  // Drives every submitted instance to decision concurrently, stopping at
+  // the first delivery after which every honest node has decided every
+  // submitted instance.  Consumes the queue.
   MultiAbaResult run_submitted(CoinMode mode = CoinMode::kIdealCommon);
 
   // ------------------------------------------------------------------

@@ -120,69 +120,75 @@ void Engine::set_interceptor(int id, Interceptor f) {
 }
 
 // ----------------------------------------------------------------------
-// Indexed min-heap over arena slots, ordered by (priority, seq).  4-ary
-// layout: random scheduler priorities force a full-depth sift on nearly
-// every pop, so halving the number of levels (at four comparisons per
-// level, adjacent in memory) beats the binary layout by a wide margin on
-// the delivery-heavy protocol runs.
+// Min-heap over arena slots, ordered by (priority, seq).  4-ary layout:
+// random scheduler priorities force a full-depth sift on nearly every pop,
+// so halving the number of levels beats the binary layout on the
+// delivery-heavy protocol runs.  The heap keeps no position index: the
+// age cap delivers a packet without removing its entry, which stays behind
+// as a tombstone until it reaches the root or compact_queue drops it.
 // ----------------------------------------------------------------------
-void Engine::heap_place(std::uint32_t pos, const HeapEntry& e) {
-  heap_[pos] = e;
-  arena_[e.slot].heap_pos = pos;
-}
-
-void Engine::heap_sift_up(std::uint32_t pos) {
-  HeapEntry e = heap_[pos];
+void Engine::heap_push(const HeapEntry& e) {
+  auto pos = static_cast<std::uint32_t>(heap_.size());
+  heap_.push_back(e);
   while (pos > 0) {
     std::uint32_t parent = (pos - 1) / 4;
     if (!heap_less(e, heap_[parent])) break;
-    heap_place(pos, heap_[parent]);
+    heap_[pos] = heap_[parent];
     pos = parent;
   }
-  heap_place(pos, e);
+  heap_[pos] = e;
 }
 
-void Engine::heap_sift_down(std::uint32_t pos) {
-  HeapEntry e = heap_[pos];
-  const std::uint32_t size = static_cast<std::uint32_t>(heap_.size());
+// Bottom-up pop: walk the root's hole down to a leaf along the minimum
+// child, then sift the former last entry up from there.  The last entry
+// almost always belongs near the bottom, so this saves the compare against
+// it on every level that a top-down sift pays.
+Engine::HeapEntry Engine::heap_pop() {
+  const HeapEntry top = heap_[0];
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  const auto size = static_cast<std::uint32_t>(heap_.size());
+  if (size == 0) return top;
+  std::uint32_t pos = 0;
   for (;;) {
-    std::uint32_t first = 4 * pos + 1;
+    const std::uint32_t first = 4 * pos + 1;
     if (first >= size) break;
-    std::uint32_t last = std::min(first + 4, size);
     std::uint32_t best = first;
-    for (std::uint32_t c = first + 1; c < last; ++c) {
-      if (heap_less(heap_[c], heap_[best])) best = c;
+    if (first + 4 <= size) {
+      // Pairwise min of four: two independent compares, then one.
+      std::uint32_t a = heap_less(heap_[first + 1], heap_[first]) ? first + 1
+                                                                  : first;
+      std::uint32_t b = heap_less(heap_[first + 3], heap_[first + 2])
+                            ? first + 3
+                            : first + 2;
+      best = heap_less(heap_[b], heap_[a]) ? b : a;
+    } else {
+      for (std::uint32_t c = first + 1; c < size; ++c) {
+        if (heap_less(heap_[c], heap_[best])) best = c;
+      }
     }
-    if (!heap_less(heap_[best], e)) break;
-    heap_place(pos, heap_[best]);
+    heap_[pos] = heap_[best];
     pos = best;
   }
-  heap_place(pos, e);
-}
-
-void Engine::heap_push(std::uint32_t slot) {
-  const Pending& p = arena_[slot];
-  heap_.push_back(HeapEntry{p.priority, p.seq, slot});
-  arena_[slot].heap_pos = static_cast<std::uint32_t>(heap_.size()) - 1;
-  heap_sift_up(arena_[slot].heap_pos);
-}
-
-void Engine::heap_remove(std::uint32_t slot) {
-  std::uint32_t pos = arena_[slot].heap_pos;
-  arena_[slot].heap_pos = kNoHeapPos;
-  std::uint32_t last = static_cast<std::uint32_t>(heap_.size()) - 1;
-  if (pos != last) {
-    HeapEntry moved = heap_[last];
-    heap_.pop_back();
-    heap_place(pos, moved);
-    heap_sift_down(pos);
-    // If the relocated element did not move down it may still violate the
-    // heap property upward; if it did move down, the element now at pos is
-    // a former descendant of pos and sift-up is a no-op.
-    heap_sift_up(pos);
-  } else {
-    heap_.pop_back();
+  while (pos > 0) {
+    std::uint32_t parent = (pos - 1) / 4;
+    if (!heap_less(last, heap_[parent])) break;
+    heap_[pos] = heap_[parent];
+    pos = parent;
   }
+  heap_[pos] = last;
+  return top;
+}
+
+// Drops every tombstone.  A sorted array is a valid heap, and the order is
+// total, so the rebuilt queue pops the same sequence.  Amortised O(log k)
+// per delivery: a compaction follows at least in_flight_ + 65 age-cap
+// deliveries.
+void Engine::compact_queue() {
+  std::erase_if(heap_, [this](const HeapEntry& e) {
+    return !in_flight_at(e.slot, e.seq);
+  });
+  std::sort(heap_.begin(), heap_.end(), heap_less);
 }
 
 void Engine::enqueue(int from, int to, Packet p) {
@@ -209,8 +215,8 @@ void Engine::enqueue(int from, int to, Packet p) {
   pending.pkt = std::move(p);
   pending.live = true;
 
-  PendingInfo info{seq, from, to, pending.pkt.is_rb};
-  pending.priority = sched_->priority(info);
+  const std::uint64_t priority =
+      sched_->priority(PendingInfo{seq, from, to, pending.pkt.is_rb});
 
   metrics_.packets_sent++;
   std::size_t bytes = pending.pkt.wire_size();
@@ -224,7 +230,7 @@ void Engine::enqueue(int from, int to, Packet p) {
   }
 
   ++in_flight_;
-  heap_push(slot);
+  heap_push(HeapEntry{priority, seq, slot});
   fifo_.emplace_back(slot, seq);
 }
 
@@ -233,25 +239,31 @@ void Engine::deliver_one() {
   // freed, and possibly reused under a different seq).
   while (!fifo_.empty()) {
     const auto& [slot, seq] = fifo_.front();
-    if (arena_[slot].live && arena_[slot].seq == seq) break;
+    if (in_flight_at(slot, seq)) break;
     fifo_.pop_front();
   }
   std::uint32_t slot;
-  // Age cap: force the oldest in-flight packet through if starved.
+  // Age cap: force the oldest in-flight packet through if starved.  Its
+  // heap entry stays behind as a tombstone.
   if (!fifo_.empty() &&
       delivered_ - arena_[fifo_.front().first].enqueue_step > max_lag_) {
     slot = fifo_.front().first;
     fifo_.pop_front();
-    heap_remove(slot);
   } else {
-    if (heap_.empty()) return;
-    slot = heap_[0].slot;
-    heap_remove(slot);
+    for (;;) {
+      if (heap_.empty()) return;
+      const HeapEntry top = heap_pop();
+      if (in_flight_at(top.slot, top.seq)) {
+        slot = top.slot;
+        break;
+      }
+    }
   }
 
   Pending& chosen = arena_[slot];
   chosen.live = false;
   --in_flight_;
+  if (heap_.size() > 2 * in_flight_ + 64) compact_queue();
   delivered_++;
   metrics_.packets_delivered++;
 

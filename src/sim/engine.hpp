@@ -180,6 +180,12 @@ class Engine {
   void set_max_lag(std::uint64_t lag) { max_lag_ = lag; }
   [[nodiscard]] std::uint64_t max_lag() const { return max_lag_; }
 
+  // Packets in flight, and entries in the priority queue: the latter also
+  // counts stale entries left by age-cap deliveries, and never exceeds
+  // 2 * in_flight() + 64 between deliveries.
+  [[nodiscard]] std::size_t in_flight() const { return in_flight_; }
+  [[nodiscard]] std::size_t queue_entries() const { return heap_.size(); }
+
   // The run's scheduler (for attaching a ScheduleView or inspecting it).
   Scheduler& scheduler() { return *sched_; }
 
@@ -201,26 +207,22 @@ class Engine {
   void deliver_one();
   [[nodiscard]] bool idle() const { return in_flight_ == 0; }
 
-  // One in-flight packet, stored in a reusable arena slot.  `heap_pos`
-  // makes the priority queue *indexed*: a slot knows its position in
-  // heap_, so the age-cap path can remove it in O(log k) instead of
-  // leaving tombstones behind for lazy deletion.
+  // One in-flight packet, stored in a reusable arena slot.
   struct Pending {
     Packet pkt;
     std::uint64_t seq = 0;
-    std::uint64_t priority = 0;
     std::uint64_t enqueue_step = 0;
     std::uint64_t depth = 0;
-    std::uint32_t heap_pos = kNoHeapPos;
     std::int32_t from = -1;
     std::int32_t to = -1;
     bool live = false;
   };
-  static constexpr std::uint32_t kNoHeapPos = 0xFFFFFFFFu;
 
-  // Indexed min-heap over arena slots, ordered by (priority, seq).  The
-  // keys are replicated into the heap entries so sifting stays inside the
-  // heap array instead of chasing arena slots.
+  // Min-queue entry over arena slots, ordered by (priority, seq).  The keys
+  // live in the entry, so sifting stays inside heap_ and never touches the
+  // arena.  (priority, seq) is a strict total order — seq is unique — so
+  // any correct min-queue pops exactly the same sequence; the queue's shape
+  // can change without moving a single delivery or replay hash.
   struct HeapEntry {
     std::uint64_t priority;
     std::uint64_t seq;
@@ -230,11 +232,15 @@ class Engine {
     if (a.priority != b.priority) return a.priority < b.priority;
     return a.seq < b.seq;
   }
-  void heap_place(std::uint32_t pos, const HeapEntry& e);
-  void heap_push(std::uint32_t slot);
-  void heap_sift_up(std::uint32_t pos);
-  void heap_sift_down(std::uint32_t pos);
-  void heap_remove(std::uint32_t slot);
+  // Whether packet `seq` is still in flight in `slot`.  False once it was
+  // delivered: the slot is free, or reused under a later seq.  This is how
+  // the heap and the fifo recognise each other's leftovers.
+  [[nodiscard]] bool in_flight_at(std::uint32_t slot, std::uint64_t seq) const {
+    return arena_[slot].live && arena_[slot].seq == seq;
+  }
+  void heap_push(const HeapEntry& e);
+  HeapEntry heap_pop();
+  void compact_queue();
 
   int n_;
   int t_;
@@ -245,9 +251,11 @@ class Engine {
   std::vector<Rng> rngs_;
   // Arena of in-flight packets: slots are reused through free_slots_, so a
   // long run allocates a bounded number of Pending records regardless of
-  // how many packets flow through.  heap_ orders live slots by scheduler
-  // priority; fifo_ records (slot, seq) in send order for the age cap
-  // (stale entries — slot delivered or reused — are skipped by seq check).
+  // how many packets flow through.  heap_ orders slots by scheduler
+  // priority; fifo_ records (slot, seq) in send order for the age cap.
+  // Neither is indexed: a packet delivered through one leaves a stale entry
+  // in the other, recognised by in_flight_at and skipped.
+  // compact_queue bounds heap_'s stale entries to in_flight_ + 64.
   std::vector<Pending> arena_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<HeapEntry> heap_;

@@ -244,7 +244,9 @@ TEST(EquivocatingAcsProposer, HonestSubsetAgreesDespiteForkedProposals) {
   const auto& subset = res.outputs.begin()->second;
   EXPECT_GE(static_cast<int>(subset.size()), 3);
   for (const auto& [member, blob] : subset) {
-    if (member < 3) EXPECT_EQ(blob, proposals[static_cast<std::size_t>(member)]);
+    if (member < 3) {
+      EXPECT_EQ(blob, proposals[static_cast<std::size_t>(member)]);
+    }
   }
 
   // Non-vacuity: both forks spoke, the partition suppressed cross-half

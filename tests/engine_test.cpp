@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/scheduler.hpp"
 
 namespace svss {
@@ -152,6 +154,49 @@ TEST(Engine, AgeCapForcesStarvedPacket) {
   ctx0.send(1, make_direct(m));
   e.run_until([&] { return !raw->received.empty(); }, 500);
   EXPECT_FALSE(raw->received.empty());
+}
+
+// Keeps `burst` packets circulating: sends them to itself at start, then
+// re-sends every packet it receives.
+class SelfResender : public IProcess {
+ public:
+  explicit SelfResender(int burst) : burst_(burst) {}
+  void start(Context& ctx) override {
+    for (int k = 0; k < burst_; ++k) {
+      ctx.send(ctx.self(), make_direct(Message{}));
+    }
+  }
+  void on_packet(Context& ctx, int, const Packet& p) override {
+    ctx.send(ctx.self(), p);
+  }
+
+ private:
+  int burst_;
+};
+
+// An age-cap delivery leaves its queue entry behind.  Under LIFO with a
+// small cap nearly every delivery goes through the cap, and the stale
+// entries (the oldest, so the last the heap would ever pop) pile up unless
+// the engine compacts them; the queue must stay within 2 * in-flight + 64.
+TEST(Engine, AgeCapLeftoversStayBounded) {
+  constexpr std::uint64_t kDeliveries = 200'000;
+  Engine e(1, 0, 1, std::make_unique<LifoScheduler>());
+  e.set_max_lag(8);
+  e.set_process(0, std::make_unique<SelfResender>(100));
+  std::size_t worst_excess = 0;  // entries beyond the bound, max over run
+  auto status = e.run_until(
+      [&] {
+        std::size_t bound = 2 * e.in_flight() + 64;
+        if (e.queue_entries() > bound) {
+          worst_excess = std::max(worst_excess, e.queue_entries() - bound);
+        }
+        return false;
+      },
+      kDeliveries);
+  EXPECT_EQ(status, RunStatus::kDeliveryCap);
+  EXPECT_EQ(e.metrics().packets_delivered, kDeliveries);
+  EXPECT_EQ(e.in_flight(), 100u);
+  EXPECT_EQ(worst_excess, 0u);
 }
 
 TEST(Engine, CausalDepthTracksChains) {

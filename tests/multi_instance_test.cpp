@@ -18,8 +18,12 @@
 //  3. Backend equivalence — the socket-loopback backend reaches the same
 //     per-instance decisions as the simulator for the same submission
 //     set, riding the batched envelopes over real TCP untranslated.
+//  4. Stop point — run_submitted ends at the exact delivery after which
+//     every honest node has decided every instance, with or without a
+//     harness observer installed on the nodes.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "core/runner.hpp"
 
 namespace svss {
@@ -151,6 +155,73 @@ TEST(MultiInstance, SocketLoopbackMatchesSim) {
   expect_valid_decisions(loopback, "socket-loopback");
   EXPECT_EQ(sim.values, loopback.values);
   EXPECT_EQ(sim.decisions, loopback.decisions);
+}
+
+// The service shape at n = 7: 16 ideal-coin instances with mixed inputs.
+// The delivered-packet count and the decided values are pinned, so a
+// completion check that stops a delivery early or late, or a queue change
+// that reorders the schedule, fails here.
+struct StopPoint {
+  std::uint64_t seed;
+  std::uint64_t packets_delivered;
+  std::uint32_t ones;  // bit k set iff instance k decided 1
+};
+constexpr StopPoint kStopPoints[] = {
+    {1, 77928, 47734},
+    {2, 71432, 55282},
+    {3, 28130, 19977},
+};
+constexpr std::uint32_t kServiceInstances = 16;
+
+Runner::MultiAbaResult run_service_shape(std::uint64_t seed,
+                                         bool with_observer) {
+  RunnerConfig cfg;
+  cfg.n = 7;
+  cfg.t = 2;
+  cfg.seed = seed;
+  Runner r(cfg);
+  if (with_observer) {
+    // What a harness does to timestamp decisions (perfbench,
+    // ServiceBuilder): it takes over the node's observer slot.
+    for (int i = 0; i < cfg.n; ++i) {
+      r.node(i).observers.aba_decided = [](Context&, int, std::uint32_t,
+                                           std::uint32_t) {};
+    }
+  }
+  Rng inputs_rng(seed);
+  for (std::uint32_t k = 0; k < kServiceInstances; ++k) {
+    std::vector<int> inputs;
+    for (int p = 0; p < cfg.n; ++p) {
+      inputs.push_back(inputs_rng.next_bool() ? 1 : 0);
+    }
+    r.submit(k, std::move(inputs));
+  }
+  return r.run_submitted(CoinMode::kIdealCommon);
+}
+
+std::uint32_t ones_mask(const Runner::MultiAbaResult& res) {
+  std::uint32_t mask = 0;
+  for (const auto& [instance, value] : res.values) {
+    if (value == 1) mask |= 1u << instance;
+  }
+  return mask;
+}
+
+TEST(MultiInstance, RunSubmittedStopsAtThePinnedDelivery) {
+  for (const StopPoint& sp : kStopPoints) {
+    for (bool with_observer : {false, true}) {
+      auto res = run_service_shape(sp.seed, with_observer);
+      const char* label = with_observer ? "observer" : "bare";
+      EXPECT_EQ(res.status, RunStatus::kQuiescent) << label << " " << sp.seed;
+      EXPECT_TRUE(res.all_decided) << label << " " << sp.seed;
+      EXPECT_TRUE(res.agreed) << label << " " << sp.seed;
+      EXPECT_EQ(res.values.size(), kServiceInstances)
+          << label << " " << sp.seed;
+      EXPECT_EQ(res.metrics.packets_delivered, sp.packets_delivered)
+          << label << " seed " << sp.seed;
+      EXPECT_EQ(ones_mask(res), sp.ones) << label << " seed " << sp.seed;
+    }
+  }
 }
 
 TEST(MultiInstance, SubmitValidatesItsArguments) {

@@ -5,7 +5,11 @@
 // actually delivers.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -285,6 +289,131 @@ TEST(SchedulerOrder, LifoWithAgeCapLosesNothing) {
   EXPECT_EQ(e.run(), RunStatus::kQuiescent);
   EXPECT_EQ(got.size(), 100u);
   EXPECT_EQ(e.metrics().packets_delivered, e.metrics().packets_sent);
+}
+
+// ----------------------------------------------------------------------
+// Reference model for the engine's queue.  The contract: deliver the
+// oldest in-flight packet if it has waited more than max_lag deliveries,
+// else the packet with the least (priority, seq).  The engine's queue is
+// an optimised implementation of exactly that; the model below is the
+// naive one, an ordered set plus a FIFO, replayed against the engine's own
+// sends and priorities.
+// ----------------------------------------------------------------------
+
+// Each packet received spawns 0-3 sends to random processes while a shared
+// send budget lasts: a branching, then draining, cloud of traffic.
+class FanOut : public IProcess {
+ public:
+  explicit FanOut(int* budget) : budget_(budget) {}
+  void start(Context& ctx) override { fan(ctx, 2); }
+  void on_packet(Context& ctx, int, const Packet&) override {
+    fan(ctx, static_cast<int>(ctx.rng().next_below(4)));
+  }
+
+ private:
+  void fan(Context& ctx, int count) {
+    for (int k = 0; k < count && *budget_ > 0; ++k, --*budget_) {
+      int to = static_cast<int>(
+          ctx.rng().next_below(static_cast<std::uint64_t>(ctx.n())));
+      ctx.send(to, make_direct(Message{}));
+    }
+  }
+  int* budget_;
+};
+
+// One send as the queue saw it: its priority, and the delivery count at
+// the moment it was sent (the engine's enqueue step).
+struct SentRecord {
+  std::uint64_t priority;
+  std::uint64_t step;
+};
+
+// Passes priorities through from `inner`, recording each send in seq order.
+class RecordingScheduler final : public Scheduler {
+ public:
+  RecordingScheduler(std::unique_ptr<Scheduler> inner,
+                     const std::uint64_t* deliveries,
+                     std::vector<SentRecord>* sends)
+      : inner_(std::move(inner)), deliveries_(deliveries), sends_(sends) {}
+  std::uint64_t priority(const PendingInfo& p) override {
+    std::uint64_t prio = inner_->priority(p);
+    EXPECT_EQ(p.seq, sends_->size());
+    sends_->push_back(SentRecord{prio, *deliveries_});
+    return prio;
+  }
+
+ private:
+  std::unique_ptr<Scheduler> inner_;
+  const std::uint64_t* deliveries_;
+  std::vector<SentRecord>* sends_;
+};
+
+// The naive queue, replayed over the recorded sends.  Sends only depend on
+// earlier deliveries, so the first step where this disagrees with the
+// engine is a step where the engine chose wrongly from the same state.
+std::vector<std::uint64_t> reference_order(const std::vector<SentRecord>& sends,
+                                           std::uint64_t max_lag) {
+  std::set<std::pair<std::uint64_t, std::uint64_t>> queue;  // (prio, seq)
+  std::deque<std::uint64_t> fifo;
+  std::vector<bool> delivered(sends.size(), false);
+  std::vector<std::uint64_t> order;
+  std::size_t next = 0;
+  for (std::uint64_t step = 0;; ++step) {
+    for (; next < sends.size() && sends[next].step <= step; ++next) {
+      queue.emplace(sends[next].priority, next);
+      fifo.push_back(next);
+    }
+    while (!fifo.empty() && delivered[fifo.front()]) fifo.pop_front();
+    if (fifo.empty()) break;
+    std::uint64_t seq = step - sends[fifo.front()].step > max_lag
+                            ? fifo.front()
+                            : queue.begin()->second;
+    queue.erase({sends[seq].priority, seq});
+    delivered[seq] = true;
+    order.push_back(seq);
+  }
+  return order;
+}
+
+TEST(SchedulerOrder, QueueMatchesReferenceModel) {
+  using Mode = HostileScheduler::Mode;
+  using Factory = std::function<std::unique_ptr<Scheduler>()>;
+  std::vector<std::pair<const char*, Factory>> schedulers = {
+      {"fifo", [] { return make_scheduler(SchedulerKind::kFifo, 5, 4, 1); }},
+      {"random",
+       [] { return make_scheduler(SchedulerKind::kRandom, 5, 4, 1); }},
+      {"lifo", [] { return make_scheduler(SchedulerKind::kLifo, 5, 4, 1); }},
+      {"delay-last-honest",
+       [] { return make_scheduler(SchedulerKind::kDelayLastHonest, 5, 4, 1); }},
+      {"hostile-random-extreme",
+       [] {
+         return std::make_unique<HostileScheduler>(Mode::kRandomExtreme, 5);
+       }},
+  };
+  for (const auto& [name, factory] : schedulers) {
+    for (std::uint64_t max_lag : {std::uint64_t{8}, std::uint64_t{1} << 20}) {
+      std::uint64_t deliveries = 0;
+      std::vector<SentRecord> sends;
+      std::vector<std::uint64_t> got;
+      int budget = 20'000;
+      Engine e(4, 1, 11,
+               std::make_unique<RecordingScheduler>(factory(), &deliveries,
+                                                    &sends));
+      e.set_max_lag(max_lag);
+      for (int i = 0; i < 4; ++i) {
+        e.set_process(i, std::make_unique<FanOut>(&budget));
+      }
+      e.set_delivery_observer([&](const PendingInfo& info, const Packet&) {
+        ++deliveries;
+        got.push_back(info.seq);
+      });
+      ASSERT_EQ(e.run(), RunStatus::kQuiescent) << name << " lag " << max_lag;
+      EXPECT_EQ(got.size(), sends.size()) << name << " lag " << max_lag;
+      EXPECT_GT(got.size(), 10'000u) << name << " lag " << max_lag;
+      EXPECT_EQ(got, reference_order(sends, max_lag))
+          << name << " lag " << max_lag;
+    }
+  }
 }
 
 }  // namespace

@@ -265,7 +265,9 @@ TEST(SocketReconnect, CapsOutboundQueueWhilePeerDown) {
   for (std::size_t i = 1; i < frames.size(); ++i) {
     auto p = decode_packet(frames[i]);
     ASSERT_TRUE(p.has_value());
-    if (prev != 0) EXPECT_EQ(p->app.sid.counter, prev + 1);
+    if (prev != 0) {
+      EXPECT_EQ(p->app.sid.counter, prev + 1);
+    }
     prev = p->app.sid.counter;
   }
   EXPECT_EQ(prev, kCount);
