@@ -77,24 +77,28 @@ BENCHMARK(BM_RejoinCatchup)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
 // The alternative a rejoining process avoids: deciding the same K
 // instances from scratch as a fresh epoch run (n = 4, unanimous inputs,
-// ideal common coin — the floor of the agreement cost).
+// ideal common coin — the floor of the agreement cost).  Every iteration
+// runs the same seed set, so the counters (per-run means, and the max
+// depth over the set) do not depend on how many iterations the timer picks.
 void BM_FreshJoin(benchmark::State& state) {
+  constexpr std::uint64_t kSeeds = 16;
   const int instances = static_cast<int>(state.range(0));
+  EpochPlan plan;
+  plan.config = identity_config(4, 1);
+  for (int k = 1; k <= instances; ++k) {
+    plan.instances.emplace(static_cast<std::uint32_t>(k),
+                           std::vector<int>(4, k % 2));
+  }
   Metrics total;
   std::uint64_t runs = 0;
   for (auto _ : state) {
-    RunnerConfig cfg = config(4, 42 + runs);
-    Runner r(cfg);
-    EpochPlan plan;
-    plan.config = identity_config(4, 1);
-    for (int k = 1; k <= instances; ++k) {
-      plan.instances.emplace(static_cast<std::uint32_t>(k),
-                             std::vector<int>(4, k % 2));
+    for (std::uint64_t s = 0; s < kSeeds; ++s) {
+      Runner r(config(4, 42 + s));
+      EpochsResult res = r.run_epochs({plan});
+      if (!res.all_decided) state.SkipWithError("epoch run did not decide");
+      total.merge(res.metrics);
+      ++runs;
     }
-    EpochsResult res = r.run_epochs({plan});
-    if (!res.all_decided) state.SkipWithError("epoch run did not decide");
-    total.merge(res.metrics);
-    ++runs;
   }
   report_metrics(state, total, static_cast<double>(runs));
 }
