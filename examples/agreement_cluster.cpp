@@ -35,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "core/service_builder.hpp"
+#include "core/runner.hpp"
 
 namespace {
 
@@ -68,8 +68,7 @@ int run_daemon(int id, const std::string& peers_spec, std::uint64_t seed,
   }
   if (vote < 0) vote = make_votes(n, seed)[static_cast<std::size_t>(id)];
 
-  svss::DaemonService replica =
-      svss::ServiceBuilder{}.seed(seed).build_daemon(id, *cluster);
+  svss::DaemonService replica(id, *cluster, seed);
   std::printf("agreement_cluster[%d]: joining fleet of %d, vote=%d\n", id, n,
               vote);
   replica.node().set_start_action(
@@ -142,8 +141,7 @@ int run_daemon_multi(int id, const std::string& peers_spec, std::uint64_t seed,
     return 2;
   }
 
-  svss::DaemonService replica =
-      svss::ServiceBuilder{}.seed(seed).build_daemon(id, *cluster);
+  svss::DaemonService replica(id, *cluster, seed);
   bool rejoin = force_rejoin;
   if (!checkpoint.empty()) {
     // Cadence 2: a crash between checkpoints leaves a journal tail, so a
@@ -290,16 +288,18 @@ int main(int argc, char** argv) {
   for (int v : votes) std::printf(" %d", v);
   std::printf("\n\n");
 
-  svss::ServiceBuilder builder;
-  builder.n(n).t(t).seed(seed).scheduler(
-      svss::SchedulerKind::kDelayLastHonest);  // hostile net
+  svss::RunnerConfig cfg;
+  cfg.n = n;
+  cfg.t = t;
+  cfg.seed = seed;
+  cfg.scheduler = svss::SchedulerKind::kDelayLastHonest;  // hostile net
   for (int i = n - t; i < n; ++i) {
-    builder.fault(i, svss::ByzConfig{svss::ByzKind::kBitFlip, 0, 0.15});
+    cfg.faults[i] = svss::ByzConfig{svss::ByzKind::kBitFlip, 0, 0.15};
   }
 
   // The paper's protocol: SVSS-based shunning common coin.
   {
-    svss::Runner cluster = builder.build_runner();
+    svss::Runner cluster(cfg);
     auto res = cluster.run_aba(votes, svss::CoinMode::kSvss);
     print_result("SVSS coin (paper):", res);
     auto shuns = cluster.honest_shun_pairs();
@@ -311,7 +311,7 @@ int main(int argc, char** argv) {
 
   // Baseline: same voting structure, private local coins (Bracha-style).
   {
-    svss::Runner cluster = builder.build_runner();
+    svss::Runner cluster(cfg);
     auto res = cluster.run_aba(votes, svss::CoinMode::kLocal);
     print_result("local coin baseline:", res);
   }
@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
   // Abstraction: ideal common coin (what SCC provides with prob >= 1/4
   // per round) — the round count the paper's analysis predicts.
   {
-    svss::Runner cluster = builder.build_runner();
+    svss::Runner cluster(cfg);
     auto res = cluster.run_aba(votes, svss::CoinMode::kIdealCommon);
     print_result("ideal common coin:", res);
   }

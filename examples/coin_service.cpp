@@ -22,7 +22,7 @@
 #include <cstring>
 #include <string>
 
-#include "core/service_builder.hpp"
+#include "core/runner.hpp"
 
 namespace {
 
@@ -37,8 +37,7 @@ int run_daemon(int id, const std::string& peers_spec, std::uint32_t rounds,
     std::fprintf(stderr, "coin_service: --id outside the fleet\n");
     return 2;
   }
-  svss::DaemonService beacon =
-      svss::ServiceBuilder{}.seed(seed).build_daemon(id, *cluster);
+  svss::DaemonService beacon(id, *cluster, seed);
   if (!beacon.start()) {
     std::fprintf(stderr, "coin_service[%d]: failed to bind endpoint\n", id);
     return 2;
@@ -115,13 +114,15 @@ int main(int argc, char** argv) {
   }
   if (daemon) return run_daemon(id, peers, rounds, seed);
 
-  svss::ServiceBuilder builder;
-  builder.n(4).t(1).seed(seed);
+  svss::RunnerConfig cfg;
+  cfg.n = 4;
+  cfg.t = 1;
+  cfg.seed = seed;
   if (with_fault) {
-    builder.fault(3, svss::ByzConfig{svss::ByzKind::kWrongRecon});
+    cfg.faults[3] = svss::ByzConfig{svss::ByzKind::kWrongRecon};
     std::printf("(process 3 is corrupted and lies in reconstruction)\n");
   }
-  svss::Runner service = builder.build_runner();
+  svss::Runner service(cfg);
   int n = service.config().n;
 
   int unanimous[2] = {0, 0};

@@ -13,20 +13,22 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "core/service_builder.hpp"
+#include "core/runner.hpp"
 
 int main(int argc, char** argv) {
   std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 5;
   bool corrupt = argc > 2 && std::strcmp(argv[2], "--corrupt") == 0;
 
-  svss::ServiceBuilder builder;
-  builder.n(4).t(1).seed(seed);
+  svss::RunnerConfig cfg;
+  cfg.n = 4;
+  cfg.t = 1;
+  cfg.seed = seed;
   if (corrupt) {
     // Member 3 lies wherever it can, including in the reveal phase.
-    builder.fault(3, svss::ByzConfig{svss::ByzKind::kBitFlip, 0, 0.9});
+    cfg.faults[3] = svss::ByzConfig{svss::ByzKind::kBitFlip, 0, 0.9};
     std::printf("(member 3 is corrupted)\n");
   }
-  svss::Runner committee = builder.build_runner();
+  svss::Runner committee(cfg);
 
   std::vector<svss::Fp> votes{svss::Fp(120), svss::Fp(340), svss::Fp(55),
                               svss::Fp(85)};

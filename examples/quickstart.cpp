@@ -9,22 +9,24 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/service_builder.hpp"
+#include "core/runner.hpp"
 
 int main(int argc, char** argv) {
   std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1;
 
-  // A 4-process system tolerating t = 1 Byzantine fault (n > 3t).
-  // ServiceBuilder is the front door: the same builder also produces
-  // socket-loopback runners (.transport(svss::TransportKind::kSocketLoopback))
-  // and real multi-process daemons (.build_daemon(id, cluster)) — see
+  // A 4-process system tolerating t = 1 Byzantine fault (n > 3t).  The
+  // same config runs over TCP loopback sockets with
+  // cfg.transport.kind = svss::TransportKind::kSocketLoopback; one process
+  // of a real fleet is an svss::DaemonService (core/daemon.hpp) — see
   // examples/agreement_cluster.cpp for the daemon shape.
-  svss::ServiceBuilder builder;
-  builder.n(4).t(1).seed(seed).scheduler(svss::SchedulerKind::kRandom);
+  svss::RunnerConfig cfg;
+  cfg.n = 4;
+  cfg.t = 1;
+  cfg.seed = seed;
 
   // --- 1. Verifiable secret sharing ---------------------------------
   {
-    svss::Runner runner = builder.build_runner();
+    svss::Runner runner(cfg);
     svss::Fp secret(123456789);
     auto res = runner.run_svss(secret, /*dealer=*/0);
     std::printf("SVSS: share complete at every honest process: %s\n",
@@ -41,7 +43,7 @@ int main(int argc, char** argv) {
 
   // --- 2. Byzantine agreement ----------------------------------------
   {
-    svss::Runner runner = builder.build_runner();
+    svss::Runner runner(cfg);
     // Divided inputs: the common coin breaks the symmetry.
     auto res = runner.run_aba({0, 1, 0, 1}, svss::CoinMode::kSvss);
     std::printf("ABA:  decided=%s value=%d rounds=%u\n",

@@ -14,7 +14,7 @@
 #include <cstdlib>
 #include <set>
 
-#include "core/service_builder.hpp"
+#include "core/runner.hpp"
 
 int main(int argc, char** argv) {
   std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
@@ -23,12 +23,12 @@ int main(int argc, char** argv) {
   constexpr std::uint32_t kDeposits = 6;
 
   // Custodian 3 is corrupted: it lies in reconstruction.
-  svss::Runner vault = svss::ServiceBuilder{}
-                           .n(kCustodians)
-                           .t(kFaulty)
-                           .seed(seed)
-                           .fault(3, svss::ByzConfig{svss::ByzKind::kWrongRecon})
-                           .build_runner();
+  svss::RunnerConfig cfg;
+  cfg.n = kCustodians;
+  cfg.t = kFaulty;
+  cfg.seed = seed;
+  cfg.faults[3] = svss::ByzConfig{svss::ByzKind::kWrongRecon};
+  svss::Runner vault(cfg);
 
   std::printf("vault: %d custodians, tolerating %d corruptions\n",
               kCustodians, kFaulty);

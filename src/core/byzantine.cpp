@@ -130,4 +130,14 @@ Engine::Interceptor make_byzantine_interceptor(const ByzConfig& cfg, int n,
   return nullptr;
 }
 
+std::uint64_t slot_seed(std::uint64_t seed, int slot) {
+  return seed * 1315423911ULL + static_cast<std::uint64_t>(slot);
+}
+
+Engine::Interceptor slot_interceptor(const ByzConfig* fault, int slot, int n,
+                                     int t, std::uint64_t seed) {
+  if (fault == nullptr) return nullptr;
+  return make_byzantine_interceptor(*fault, n, t, slot_seed(seed, slot));
+}
+
 }  // namespace svss

@@ -41,6 +41,17 @@ struct ByzConfig {
 Engine::Interceptor make_byzantine_interceptor(const ByzConfig& cfg, int n,
                                                int t, std::uint64_t seed);
 
+// Slot `slot`'s private stream seed in a run seeded with `seed`: what its
+// wire interceptor or adversary strategy draws from.
+[[nodiscard]] std::uint64_t slot_seed(std::uint64_t seed, int slot);
+
+// Slot `slot`'s wire interceptor under `fault` (null: honest), seeded with
+// slot_seed.  Empty for an honest slot.  Every stack builder (Runner,
+// LoopbackCluster, DaemonService) derives a slot's faults here, so one seed
+// corrupts the same way on every backend.
+Engine::Interceptor slot_interceptor(const ByzConfig* fault, int slot, int n,
+                                     int t, std::uint64_t seed);
+
 // Applies `mutate` to the application message carried by `p` — directly for
 // direct packets, through (de)serialization for the value of the process's
 // own RB phase-1 sends.  Relayed RB traffic (echo/ready for other origins)

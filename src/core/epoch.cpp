@@ -83,12 +83,7 @@ void EpochTransport::send(int to, Packet p) {
 }
 
 void EpochTransport::broadcast(const Packet& p) {
-  for (int to = 0; to < cfg_.n(); ++to) {
-    Packet copy = p;
-    if (hook_ && !hook_(to, copy)) continue;
-    stamp_epoch(copy, cfg_.epoch);
-    inner_.send(cfg_.global_of(to), std::move(copy));
-  }
+  for (int to = 0; to < cfg_.n(); ++to) send(to, p);
 }
 
 void EpochTransport::install(EpochConfig next) {
@@ -232,12 +227,11 @@ void finish_epoch_result(EpochsResult::PerEpoch& pe,
 
 // ----------------------------------------------------------------------
 // Runner::run_epochs — one driver for both backends.  The main thread
-// sequences the script: per epoch it installs the config on every port,
-// builds a fresh NodeDaemon per live member over its EpochTransport, and
+// sequences the script over one EpochSlot per universe slot: per epoch it
 // runs the epoch's instances, then its boundary, as one cluster run each
 // over the live members; non-members and crashed slots keep delivering
-// uncounted.  A member crashed at a boundary goes silent: its port is
-// detached and never installed again.
+// uncounted.  At each boundary every slot installs the next config, except
+// members crashed there, which go silent for good.
 // ----------------------------------------------------------------------
 
 EpochsResult Runner::run_epochs(const std::vector<EpochPlan>& script,
@@ -249,50 +243,36 @@ EpochsResult Runner::run_epochs(const std::vector<EpochPlan>& script,
   }
   validate_script(cfg_, script);
   const auto live = live_members(script);
-  const auto universe = static_cast<std::size_t>(cfg_.n);
 
-  std::vector<std::unique_ptr<EpochTransport>> ports;
-  ports.reserve(universe);
+  std::vector<std::unique_ptr<EpochSlot>> slots;
+  slots.reserve(static_cast<std::size_t>(cfg_.n));
   for (int g = 0; g < cfg_.n; ++g) {
-    ports.push_back(std::make_unique<EpochTransport>(cluster_->transport(g),
-                                                     script[0].config));
+    slots.push_back(std::make_unique<EpochSlot>(
+        cluster_->transport(g), script[0].config, cfg_.seed, cfg_.transport));
   }
+  auto member = [&slots](int g) -> NodeDaemon& {
+    return slots[static_cast<std::size_t>(g)]->daemon();
+  };
 
   EpochsResult res;
   res.all_decided = true;
   std::set<int> dead;
   for (std::size_t e = 0; e < script.size(); ++e) {
     const EpochPlan& plan = script[e];
-    for (int g = 0; g < cfg_.n; ++g) {
-      if (dead.count(g) == 0) ports[static_cast<std::size_t>(g)]->install(
-          plan.config);
-    }
-    std::vector<std::unique_ptr<NodeDaemon>> daemons(universe);  // by global
-    for (int g : live[e]) {
-      int rank = plan.config.rank_of(g);
-      daemons[static_cast<std::size_t>(g)] = std::make_unique<NodeDaemon>(
-          rank, plan.config.n(), plan.config.t,
-          epoch_seed(cfg_.seed, plan.config.epoch),
-          *ports[static_cast<std::size_t>(g)], cfg_.transport);
-      ports[static_cast<std::size_t>(g)]->flush_buffered();
-    }
-    auto member = [&daemons](int g) -> Node& {
-      return daemons[static_cast<std::size_t>(g)]->node();
-    };
     std::uint64_t coin_seed =
         epoch_seed(cfg_.seed ^ 0xC01Full, plan.config.epoch);
     for (int g : live[e]) {
       int rank = plan.config.rank_of(g);
-      Context c(daemons[static_cast<std::size_t>(g)]->world());
+      Context c(member(g).world());
       for (const auto& [inst, inputs] : plan.instances) {
-        member(g).start_aba(c, inputs[static_cast<std::size_t>(rank)], mode,
-                            coin_seed, inst);
+        member(g).node().start_aba(c, inputs[static_cast<std::size_t>(rank)],
+                                   mode, coin_seed, inst);
       }
     }
     run_slots(
         [&](int g) {
           for (const auto& [inst, inputs] : plan.instances) {
-            if (!node_decided(member(g), inst)) return false;
+            if (!node_decided(member(g).node(), inst)) return false;
           }
           return true;
         },
@@ -301,7 +281,7 @@ EpochsResult Runner::run_epochs(const std::vector<EpochPlan>& script,
     EpochsResult::PerEpoch pe;
     for (const auto& [inst, inputs] : plan.instances) {
       for (int g : live[e]) {
-        const AbaSession* a = member(g).aba(inst);
+        const AbaSession* a = member(g).node().aba(inst);
         if (a != nullptr && a->decided()) {
           pe.decisions[inst].emplace(g, a->decision());
         } else {
@@ -315,37 +295,37 @@ EpochsResult Runner::run_epochs(const std::vector<EpochPlan>& script,
     if (e + 1 < script.size()) {
       // The agreed boundary: drain done, now close the epoch.
       for (int g : live[e]) {
-        Context c(daemons[static_cast<std::size_t>(g)]->world());
-        member(g).start_aba(c, 1, mode, coin_seed, kEpochBoundaryInstance);
+        Context c(member(g).world());
+        member(g).node().start_aba(c, 1, mode, coin_seed,
+                                   kEpochBoundaryInstance);
       }
       auto closed = [&](int g) {
-        return node_decided(member(g), kEpochBoundaryInstance);
+        return node_decided(member(g).node(), kEpochBoundaryInstance);
       };
       run_slots(closed, live[e]);
       for (int g : live[e]) {
         if (!closed(g)) pe.boundary_decided = false;
       }
       if (!pe.boundary_decided) res.all_decided = false;
+
+      dead.insert(plan.crash_at_boundary.begin(),
+                  plan.crash_at_boundary.end());
+      for (int g = 0; g < cfg_.n; ++g) {
+        EpochSlot& s = *slots[static_cast<std::size_t>(g)];
+        if (dead.count(g) != 0) {
+          s.crash();
+        } else {
+          s.install(script[e + 1].config);
+        }
+      }
     }
     res.epochs.push_back(std::move(pe));
-
-    // The daemons die with this scope; detach their delivery sinks first.
-    for (int g : live[e]) {
-      ports[static_cast<std::size_t>(g)]->set_delivery(nullptr);
-      ports[static_cast<std::size_t>(g)]->set_control(nullptr);
-    }
-    dead.insert(plan.crash_at_boundary.begin(),
-                plan.crash_at_boundary.end());
   }
   res.agreed = res.all_decided;
   for (std::size_t e = 0; e < script.size(); ++e) {
     if (res.epochs[e].values.size() != script[e].instances.size()) {
       res.agreed = false;
     }
-  }
-  // The ports die with this scope; detach them from the cluster first.
-  for (int g = 0; g < cfg_.n; ++g) {
-    cluster_->transport(g).set_delivery(nullptr);
   }
   res.metrics = cluster_->merged_metrics();
   return res;

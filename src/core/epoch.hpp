@@ -20,12 +20,14 @@
 //     (kEpochBoundaryInstance) in which every member votes 1; the next
 //     config installs when it decides.
 //
-// Runner::run_epochs (defined in core/epoch.cpp) drives a whole script of
-// epochs, written once against the Runner's Cluster (core/daemon.hpp), so
-// it runs on the sim engine (deterministic) or a socket-loopback fleet of
+// EpochSlot (core/daemon.hpp) pairs one fence with the current epoch's
+// Node and is the only place a per-epoch Node is built.  Runner::run_epochs
+// (defined in core/epoch.cpp) holds one per universe slot and drives a
+// whole script of epochs, written once against the Runner's Cluster, so it
+// runs on the sim engine (deterministic) or a socket-loopback fleet of
 // real TCP endpoints alike — including join/leave/replace of a slot and
 // members that crash exactly at an epoch boundary (the reconfiguration
-// adversary).
+// adversary).  DaemonService holds one over its socket endpoint.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +88,10 @@ class EpochTransport final : public ITransport {
   // a member, this endpoint is a spectator: it buffers future-epoch
   // traffic and answers the control plane, but delivers nothing.
   EpochTransport(ITransport& inner, EpochConfig cfg);
+  // Detaches from `inner`, which may outlive the fence.
+  ~EpochTransport() override { inner_.set_delivery(nullptr); }
+  EpochTransport(const EpochTransport&) = delete;
+  EpochTransport& operator=(const EpochTransport&) = delete;
 
   // --- ITransport (rank space of the current epoch) ---
   void send(int to, Packet p) override;
@@ -105,8 +111,8 @@ class EpochTransport final : public ITransport {
 
   // Installs the next epoch at the agreed boundary and replays buffered
   // future-epoch packets that now match.  Call only from the thread that
-  // drives the inner transport, with no Node attached or a freshly built
-  // one (the old epoch's sink must be cleared first).
+  // drives the inner transport, with the old epoch's sink cleared
+  // (EpochSlot::install sequences this).
   void install(EpochConfig next);
   // Re-feeds the buffer through the fence.  Call after attaching a fresh
   // delivery sink: current-epoch packets that arrived while no Node was

@@ -233,8 +233,12 @@ void Node::start_acs(Context& ctx, Bytes proposal, CoinMode mode,
                      std::uint64_t common_seed) {
   aba_mode_ = mode;
   aba_seed_ = common_seed;
+  join_acs(ctx, std::move(proposal), AcsOptions{});
+}
+
+void Node::join_acs(Context& ctx, Bytes proposal, AcsOptions options) {
   if (!acs_) {
-    acs_ = std::make_unique<AcsSession>(*this, self_, n_, t_);
+    acs_ = std::make_unique<AcsSession>(*this, self_, n_, t_, options);
     for (auto& [sender, m] : pending_acs_) acs_->on_broadcast(ctx, sender, m);
     pending_acs_.clear();
   }
@@ -254,16 +258,11 @@ void Node::start_secure_sum(Context& ctx, Fp input, CoinMode mode,
 }
 
 void Node::sum_start_acs(Context& ctx, Bytes proposal) {
-  if (!acs_) {
-    // The secure-sum ACS vouches on share completion, not on proposals,
-    // and does not gate its output on proposal payloads.
-    acs_ = std::make_unique<AcsSession>(
-        *this, self_, n_, t_,
-        AcsOptions{/*vouch_on_proposal=*/false, /*require_proposals=*/false});
-    for (auto& [sender, m] : pending_acs_) acs_->on_broadcast(ctx, sender, m);
-    pending_acs_.clear();
-  }
-  acs_->start(ctx, std::move(proposal));
+  // The secure-sum ACS vouches on share completion, not on proposals, and
+  // does not gate its output on proposal payloads.
+  join_acs(ctx, std::move(proposal),
+           AcsOptions{/*vouch_on_proposal=*/false,
+                      /*require_proposals=*/false});
 }
 
 void Node::sum_vouch(Context& ctx, int dealer) {
@@ -282,12 +281,7 @@ void Node::start_mvba(Context& ctx, Fp proposal, Fp default_value,
 }
 
 void Node::mvba_start_acs(Context& ctx, Bytes proposal) {
-  if (!acs_) {
-    acs_ = std::make_unique<AcsSession>(*this, self_, n_, t_);
-    for (auto& [sender, m] : pending_acs_) acs_->on_broadcast(ctx, sender, m);
-    pending_acs_.clear();
-  }
-  acs_->start(ctx, std::move(proposal));
+  join_acs(ctx, std::move(proposal), AcsOptions{});
 }
 
 SvssSession& Node::sum_svss(Context& ctx, const SessionId& sid) {

@@ -176,6 +176,9 @@ class Node : public IProcess,
   // re-enter route_app, so batching never skips a rule.
   void deliver_mw(Context& ctx, int sender, const Message& m, bool via_rb);
   AbaSession& aba_instance(std::uint32_t instance);
+  // The one ACS session: created with `options` on first use, fed the
+  // proposals RB delivered before it existed, then joined with `proposal`.
+  void join_acs(Context& ctx, Bytes proposal, AcsOptions options);
   // DMM-accepted traffic of an SVSS-coin session: joins that coin round
   // once the local agreement instance has entered it (see aba/aba.hpp).
   void on_coin_contact(Context& ctx, const SessionId& sid);

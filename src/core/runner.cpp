@@ -126,21 +126,17 @@ Runner::Runner(RunnerConfig cfg) : cfg_(validate(std::move(cfg))) {
   cluster_ = std::move(sim);
   Engine& engine = sim_->engine();
   for (int i = 0; i < cfg_.n; ++i) {
-    std::uint64_t slot_seed =
-        cfg_.seed * 1315423911ULL + static_cast<std::uint64_t>(i);
     const BatchFraming framing = batch_framing(cfg_.transport, i);
     auto fit = cfg_.faults.find(i);
-    Engine::Interceptor wire;
-    if (fit != cfg_.faults.end() && fit->second.kind != ByzKind::kHonest) {
-      wire = make_byzantine_interceptor(fit->second, cfg_.n, cfg_.t,
-                                        slot_seed);
-    }
+    Engine::Interceptor wire = slot_interceptor(
+        fit == cfg_.faults.end() ? nullptr : &fit->second, i, cfg_.n, cfg_.t,
+        cfg_.seed);
     auto ait = cfg_.adversaries.find(i);
     if (ait != cfg_.adversaries.end()) {
       // Adversary slot: the strategy replaces the honest Node.  Its
       // outbound gate runs first; a ByzConfig wire interceptor for the
       // same slot composes on top of whatever the strategy emits.
-      AdversaryEnv env{i, cfg_.n, cfg_.t, slot_seed, framing};
+      AdversaryEnv env{i, cfg_.n, cfg_.t, slot_seed(cfg_.seed, i), framing};
       std::unique_ptr<AdversarySlot> slot = ait->second(env);
       if (!slot) throw std::invalid_argument("Runner: null adversary slot");
       advs_[static_cast<std::size_t>(i)] = slot.get();

@@ -65,12 +65,12 @@ class ITransport {
 };
 
 // ----------------------------------------------------------------------
-// Transport configuration (RunnerConfig::transport, ServiceBuilder)
+// Transport configuration (RunnerConfig::transport, DaemonService)
 // ----------------------------------------------------------------------
 
 // Which backend a Runner-driven experiment runs on.  Multi-process daemons
-// do not appear here: they are built directly (core/service_builder.hpp)
-// because a Runner owns all n slots of a run, while a daemon owns one.
+// do not appear here: each is a DaemonService (core/daemon.hpp), because a
+// Runner owns all n slots of a run, while a daemon owns one.
 enum class TransportKind : std::uint8_t {
   kSim,             // deterministic simulator (default; replayable)
   kSocketLoopback,  // n in-process endpoints over real TCP on 127.0.0.1,

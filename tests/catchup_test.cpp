@@ -1,5 +1,5 @@
 // Byzantine-resistance regression tests for the rejoin catch-up handshake
-// (core/service_builder.hpp).
+// (DaemonService, core/daemon.hpp).
 //
 // The harness plays catch-up peers with raw TCP sockets: each "peer" dials
 // the daemon's listener, identifies itself with a HELLO frame, and injects
@@ -16,7 +16,10 @@
 //    (no tallies, no metering), so unsolicited frames can neither grow
 //    the vote maps nor pre-stuff a quorum;
 //  * a decision adopted while the journal cannot append is folded into a
-//    checkpoint instead of landing behind a torn journal entry.
+//    checkpoint instead of landing behind a torn journal entry;
+//  * a daemon whose adopted epoch leaves it out becomes a spectator:
+//    node(), ctx() and submit() throw instead of dereferencing a missing
+//    Node, and the control plane still answers.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -24,10 +27,11 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/service_builder.hpp"
+#include "core/daemon.hpp"
 #include "net/frame.hpp"
 
 namespace svss {
@@ -117,7 +121,7 @@ DaemonService make_daemon() {
     EXPECT_NE(port, 0);
     cluster.peers.push_back(net::Endpoint{"127.0.0.1", port});
   }
-  return ServiceBuilder().seed(11).build_daemon(0, std::move(cluster));
+  return DaemonService(0, std::move(cluster), /*seed=*/11);
 }
 
 // Never-decided instance id used to keep catch_up polling its full
@@ -251,6 +255,34 @@ TEST(CatchUp, ValueQuorumAdoptsAndJournalFailureFoldsIntoCheckpoint) {
     std::remove(journal.c_str());
   }
   std::remove(ckpt.c_str());
+}
+
+TEST(CatchUp, EpochExcludingThisSlotLeavesASpectator) {
+  DaemonService svc = make_daemon();
+  ASSERT_TRUE(svc.start());
+  ASSERT_TRUE(svc.is_member());
+
+  // t+1 = 2 peers report the same epoch 1, which drops slot 0.
+  EpochConfig without_me;
+  without_me.epoch = 1;
+  without_me.members = {1, 2, 3};
+  without_me.t = 0;
+
+  FakePeer p1, p2;
+  ASSERT_TRUE(p1.dial(svc.transport().bound_port(), 1));
+  ASSERT_TRUE(p2.dial(svc.transport().bound_port(), 2));
+  ASSERT_TRUE(p1.send_state(1, 1, without_me, {}));
+  ASSERT_TRUE(p2.send_state(2, 1, without_me, {}));
+
+  svc.catch_up({kUndecidable}, 1200);
+  ASSERT_EQ(svc.current_epoch(), 1u);
+  EXPECT_FALSE(svc.is_member());
+  EXPECT_THROW(svc.submit(5, 1), std::logic_error);
+  EXPECT_THROW(svc.node(), std::logic_error);
+  EXPECT_THROW(svc.ctx(), std::logic_error);
+  // The catch-up control plane still runs on a spectator.
+  EXPECT_FALSE(svc.catch_up({kUndecidable}, 200));
+  svc.shutdown();
 }
 
 }  // namespace

@@ -182,7 +182,7 @@ Runner::MultiAbaResult run_service_shape(std::uint64_t seed,
   Runner r(cfg);
   if (with_observer) {
     // What a harness does to timestamp decisions (perfbench,
-    // ServiceBuilder): it takes over the node's observer slot.
+    // DaemonService): it takes over the node's observer slot.
     for (int i = 0; i < cfg.n; ++i) {
       r.node(i).observers.aba_decided = [](Context&, int, std::uint32_t,
                                            std::uint32_t) {};

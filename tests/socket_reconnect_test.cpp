@@ -294,16 +294,18 @@ TEST(SocketReconnect, ResolveFailureUsesCappedBackoff) {
 }  // namespace svss::net
 
 // ----------------------------------------------------------------------
-// Daemon shutdown with an instance in flight (core/service_builder.hpp)
+// Daemon shutdown with an instance in flight (core/daemon.hpp)
 // ----------------------------------------------------------------------
 
 #include <sys/stat.h>
 
 #include <csignal>
 #include <cstdio>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
-#include "core/service_builder.hpp"
+#include "core/daemon.hpp"
 
 namespace svss {
 namespace {
@@ -334,8 +336,7 @@ TEST(DaemonShutdown, SigtermWithInstanceInFlightLeavesNoTornCheckpoint) {
   std::remove((ckpt + ".tmp").c_str());
   std::remove((ckpt + ".journal").c_str());
 
-  DaemonService svc =
-      ServiceBuilder().seed(7).build_daemon(0, std::move(cluster));
+  DaemonService svc(0, std::move(cluster), /*seed=*/7);
   svc.enable_recovery(ckpt);
   EXPECT_FALSE(svc.recover());
   ASSERT_TRUE(svc.start());
@@ -356,6 +357,33 @@ TEST(DaemonShutdown, SigtermWithInstanceInFlightLeavesNoTornCheckpoint) {
       << "half-written checkpoint left behind";
   EXPECT_FALSE(file_exists(ckpt)) << "no decision was made, so no checkpoint";
   net::clear_stop_request();
+}
+
+// A daemon's ByzConfig reaches its wire through the same slot helper a
+// Runner uses: a silent slot queues no packet where an honest one does.
+TEST(DaemonFault, SilentSlotQueuesNothing) {
+  for (bool silent : {false, true}) {
+    net::ClusterConfig cluster;
+    cluster.peers.push_back(net::Endpoint{"127.0.0.1", 0});
+    for (int i = 0; i < 3; ++i) {
+      cluster.peers.push_back(net::Endpoint{"127.0.0.1", net::free_port()});
+    }
+    std::optional<ByzConfig> fault;
+    if (silent) fault = ByzConfig{ByzKind::kSilent};
+    DaemonService svc(0, std::move(cluster), /*seed=*/7, {}, fault);
+    ASSERT_TRUE(svc.start());
+    svc.submit(0, 1);
+    EXPECT_EQ(svc.transport().metrics().packets_sent == 0, silent)
+        << (silent ? "silent" : "honest") << " daemon";
+    svc.shutdown();
+  }
+}
+
+TEST(DaemonFault, SelfOutsideTheClusterIsRejected) {
+  net::ClusterConfig cluster;
+  cluster.peers.assign(4, net::Endpoint{"127.0.0.1", 0});
+  EXPECT_THROW(DaemonService(4, cluster, 1), std::invalid_argument);
+  EXPECT_THROW(DaemonService(-1, cluster, 1), std::invalid_argument);
 }
 
 }  // namespace
