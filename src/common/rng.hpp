@@ -46,6 +46,11 @@ class Rng {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
+  // Skips the next `count` outputs in O(1): the state is a counter.
+  void discard(std::uint64_t count) {
+    state_ += count * 0x9E3779B97F4A7C15ULL;
+  }
+
   // Derives an independent stream; `salt` distinguishes sibling splits.
   [[nodiscard]] Rng split(std::uint64_t salt) {
     std::uint64_t s = next_u64();

@@ -44,9 +44,10 @@ struct StrategyStats {
                                // behaviour switched
 };
 
-// A process slot hosting adversarial protocol logic.  The Runner wires
-// on_outbound() as the slot's engine interceptor (before any ByzConfig wire
-// interceptor, which stays composable on top) and forwards the experiment
+// A process slot hosting adversarial protocol logic.  It attaches through
+// the same ProcessHost as an honest Node; the Runner wires on_outbound() as
+// the first stage of the slot endpoint's send hook (a ByzConfig wire
+// interceptor for the slot runs after it) and forwards the experiment
 // drivers' start actions so the adversary receives the same role payload
 // (deal this secret, enter agreement with this input) an honest Node would.
 class AdversarySlot : public IProcess {

@@ -15,7 +15,7 @@ void perturb_vals(Message& m, Fp delta) {
 }
 
 // See mutate_outbound_message below; template form avoids std::function
-// overhead on the interceptor hot path.
+// overhead on the send-hook hot path.
 template <typename Fn>
 void mutate_packet(Packet& p, int self, Fn&& mutate, bool mutate_relays) {
   if (!p.is_rb) {
@@ -40,19 +40,20 @@ void mutate_outbound_message(Packet& p, int self,
   mutate_packet(p, self, mutate, mutate_relays);
 }
 
-Engine::Interceptor make_byzantine_interceptor(const ByzConfig& cfg, int n,
-                                               int t, std::uint64_t seed) {
+ITransport::SendHook make_byzantine_interceptor(const ByzConfig& cfg,
+                                                int self, int n, int t,
+                                                std::uint64_t seed) {
   (void)t;
   switch (cfg.kind) {
     case ByzKind::kHonest:
       return nullptr;
 
     case ByzKind::kSilent:
-      return [](int, int, Packet&) { return false; };
+      return [](int, Packet&) { return false; };
 
     case ByzKind::kCrashMidway: {
       auto remaining = std::make_shared<std::uint64_t>(cfg.crash_after);
-      return [remaining](int, int, Packet&) {
+      return [remaining](int, Packet&) {
         if (*remaining == 0) return false;
         --*remaining;
         return true;
@@ -63,19 +64,18 @@ Engine::Interceptor make_byzantine_interceptor(const ByzConfig& cfg, int n,
       // Different halves of the system see shares shifted by different
       // amounts — a split-view dealer/confirmer.  RB equivocation is also
       // exercised: the phase-1 value of its own broadcasts diverges.
-      return [n](int from, int to, Packet& p) {
+      return [self, n](int to, Packet& p) {
         if (to < n / 2) return true;
         mutate_packet(
-            p, from, [](Message& m) { perturb_vals(m, Fp(1)); },
+            p, self, [](Message& m) { perturb_vals(m, Fp(1)); },
             /*mutate_relays=*/false);
         return true;
       };
 
     case ByzKind::kWrongRecon:
-      return [](int from, int to, Packet& p) {
-        (void)to;
+      return [self](int, Packet& p) {
         mutate_packet(
-            p, from,
+            p, self,
             [](Message& m) {
               // Every recon value, on either framing: the same deviation
               // per coalesced session as per individual broadcast.
@@ -87,10 +87,9 @@ Engine::Interceptor make_byzantine_interceptor(const ByzConfig& cfg, int n,
       };
 
     case ByzKind::kLyingModerator:
-      return [](int from, int to, Packet& p) {
-        (void)to;
+      return [self](int, Packet& p) {
         mutate_packet(
-            p, from,
+            p, self,
             [](Message& m) {
               // The same lies on either framing; the batching layer owns
               // the envelope layout.
@@ -112,10 +111,9 @@ Engine::Interceptor make_byzantine_interceptor(const ByzConfig& cfg, int n,
     case ByzKind::kBitFlip: {
       auto rng = std::make_shared<Rng>(seed);
       double prob = cfg.flip_prob;
-      return [rng, prob](int from, int to, Packet& p) {
-        (void)to;
+      return [self, rng, prob](int, Packet& p) {
         mutate_packet(
-            p, from,
+            p, self,
             [&](Message& m) {
               for (Fp& v : m.vals) {
                 if (rng->next_unit() < prob) v += Fp(1 + static_cast<int>(
@@ -134,10 +132,10 @@ std::uint64_t slot_seed(std::uint64_t seed, int slot) {
   return seed * 1315423911ULL + static_cast<std::uint64_t>(slot);
 }
 
-Engine::Interceptor slot_interceptor(const ByzConfig* fault, int slot, int n,
-                                     int t, std::uint64_t seed) {
+ITransport::SendHook slot_interceptor(const ByzConfig* fault, int slot, int n,
+                                      int t, std::uint64_t seed) {
   if (fault == nullptr) return nullptr;
-  return make_byzantine_interceptor(*fault, n, t, slot_seed(seed, slot));
+  return make_byzantine_interceptor(*fault, slot, n, t, slot_seed(seed, slot));
 }
 
 }  // namespace svss

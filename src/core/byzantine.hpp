@@ -2,17 +2,18 @@
 //
 // A faulty process runs the honest Node code with a wire interceptor that
 // rewrites its outbound packets per recipient ("honest code, corrupted
-// wire").  This covers the attack classes the paper's proofs quantify
-// over — equivocating dealers, wrong reconstruction values, lying
-// moderators, crashes — while keeping a single protocol implementation.
-// Interceptors compose with adversarial schedulers (sim/scheduler.hpp),
-// which control delivery order.
+// wire").  An interceptor is its endpoint's ITransport::SendHook, so it
+// acts the same on every backend.  This covers the attack classes the
+// paper's proofs quantify over — equivocating dealers, wrong
+// reconstruction values, lying moderators, crashes — while keeping a
+// single protocol implementation.  Interceptors compose with adversarial
+// schedulers (sim/scheduler.hpp), which control delivery order.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 
-#include "sim/engine.hpp"
+#include "net/transport.hpp"
 #include "sim/message.hpp"
 
 namespace svss {
@@ -36,21 +37,23 @@ struct ByzConfig {
   double flip_prob = 0.05;          // kBitFlip
 };
 
-// Builds the outbound interceptor implementing `cfg` for a process in an
-// (n, t) system.  `seed` makes randomized strategies reproducible.
-Engine::Interceptor make_byzantine_interceptor(const ByzConfig& cfg, int n,
-                                               int t, std::uint64_t seed);
+// Builds the send hook implementing `cfg` for process `self` of an (n, t)
+// system; empty for kHonest.  `seed` makes randomized strategies
+// reproducible.
+ITransport::SendHook make_byzantine_interceptor(const ByzConfig& cfg,
+                                                int self, int n, int t,
+                                                std::uint64_t seed);
 
 // Slot `slot`'s private stream seed in a run seeded with `seed`: what its
 // wire interceptor or adversary strategy draws from.
 [[nodiscard]] std::uint64_t slot_seed(std::uint64_t seed, int slot);
 
-// Slot `slot`'s wire interceptor under `fault` (null: honest), seeded with
+// Slot `slot`'s send hook under `fault` (null: honest), seeded with
 // slot_seed.  Empty for an honest slot.  Every stack builder (Runner,
 // LoopbackCluster, DaemonService) derives a slot's faults here, so one seed
 // corrupts the same way on every backend.
-Engine::Interceptor slot_interceptor(const ByzConfig* fault, int slot, int n,
-                                     int t, std::uint64_t seed);
+ITransport::SendHook slot_interceptor(const ByzConfig* fault, int slot, int n,
+                                      int t, std::uint64_t seed);
 
 // Applies `mutate` to the application message carried by `p` — directly for
 // direct packets, through (de)serialization for the value of the process's

@@ -10,16 +10,6 @@ namespace svss {
 
 namespace {
 
-// Slot `self`'s ByzConfig wire fault, if any, as a send hook on its socket
-// endpoint (which addresses peers by global id, as the interceptor does).
-void attach_fault(net::SocketTransport& tr, const ByzConfig* fault, int self,
-                  int n, int t, std::uint64_t seed) {
-  if (auto wire = slot_interceptor(fault, self, n, t, seed)) {
-    tr.set_send_hook(
-        [wire, self](int to, Packet& p) { return wire(self, to, p); });
-  }
-}
-
 // One OS process's endpoint in `cluster`.
 std::unique_ptr<net::SocketTransport> daemon_endpoint(
     int self, net::ClusterConfig cluster) {
@@ -59,39 +49,18 @@ BatchFraming batch_framing(const TransportOptions& opts, int slot) {
 }
 
 NodeDaemon::NodeDaemon(int self, int n, int t, std::uint64_t seed,
-                       ITransport& tr, const TransportOptions& opts)
-    : node_(self, n, t, batch_framing(opts, self)) {
-  world_.self = self;
-  world_.n = n;
-  world_.t = t;
-  // Engine seeds slot RNGs by *sequential* splits from one root (each
-  // split advances the root), so slot i's stream depends on i draws
-  // having happened first.  Replicate exactly, or daemon fleets deal
-  // different values than the simulator for every slot but 0 — the
-  // backend-equivalence harness pins this.
-  Rng root(seed);
-  for (int i = 0; i <= self; ++i) {
-    world_.rng = root.split(static_cast<std::uint64_t>(i));
-  }
-  world_.transport = &tr;
-  tr.set_delivery([this](int from, Packet p) {
-    Context ctx(world_);
-    node_.on_packet(ctx, from, p);
-  });
-}
-
-void NodeDaemon::start() {
-  Context ctx(world_);
-  node_.start(ctx);
-}
+                       ITransport& tr, const TransportOptions& opts,
+                       EventLog* log)
+    : host_(std::make_unique<Node>(self, n, t, batch_framing(opts, self)), t,
+            seed, tr, log != nullptr ? *log : own_log_) {}
 
 // ----------------------------------------------------------------------
 // EpochSlot
 // ----------------------------------------------------------------------
 
 EpochSlot::EpochSlot(ITransport& inner, const EpochConfig& first,
-                     std::uint64_t seed, TransportOptions opts)
-    : seed_(seed), opts_(std::move(opts)), fence_(inner, first) {
+                     std::uint64_t seed, TransportOptions opts, EventLog& log)
+    : seed_(seed), opts_(std::move(opts)), log_(&log), fence_(inner, first) {
   build({});
 }
 
@@ -101,10 +70,7 @@ void EpochSlot::install(const EpochConfig& next, const OnBuild& on_build) {
   build(on_build);
 }
 
-void EpochSlot::crash() {
-  fence_.set_delivery(nullptr);
-  daemon_.reset();
-}
+void EpochSlot::crash() { daemon_.reset(); }
 
 NodeDaemon& EpochSlot::daemon() {
   if (!daemon_) {
@@ -117,9 +83,8 @@ NodeDaemon& EpochSlot::daemon() {
 void EpochSlot::build(const OnBuild& on_build) {
   if (!fence_.is_member()) return;
   const EpochConfig& cfg = fence_.config();
-  daemon_ = std::make_unique<NodeDaemon>(fence_.self(), cfg.n(), cfg.t,
-                                         epoch_seed(seed_, cfg.epoch), fence_,
-                                         opts_);
+  daemon_.emplace(fence_.self(), cfg.n(), cfg.t, epoch_seed(seed_, cfg.epoch),
+                  fence_, opts_, log_);
   if (on_build) on_build(*daemon_);
   // Current-epoch packets that arrived while no Node was attached deliver
   // now.
@@ -150,7 +115,9 @@ RunStatus SimCluster::run_until(const std::function<bool(int)>& done,
 // ----------------------------------------------------------------------
 
 LoopbackCluster::LoopbackCluster(LoopbackOptions opts)
-    : opts_(std::move(opts)) {
+    : opts_(std::move(opts)),
+      logs_(static_cast<std::size_t>(opts_.n)),
+      daemons_(static_cast<std::size_t>(opts_.n)) {
   // Phase 1 (main thread): bind every listener on a kernel-assigned port,
   // then tell every endpoint where its peers landed — before any worker
   // exists, so the config is frozen by the time threads read it.
@@ -172,12 +139,14 @@ LoopbackCluster::LoopbackCluster(LoopbackOptions opts)
     }
   }
   for (int i = 0; i < opts_.n; ++i) {
-    net::SocketTransport& tr = *transports_[static_cast<std::size_t>(i)];
-    daemons_.push_back(std::make_unique<NodeDaemon>(
-        i, opts_.n, opts_.t, opts_.seed, tr, opts_.transport));
+    auto idx = static_cast<std::size_t>(i);
+    net::SocketTransport& tr = *transports_[idx];
+    daemons_[idx].emplace(i, opts_.n, opts_.t, opts_.seed, tr,
+                          opts_.transport, &logs_[idx]);
     auto fit = opts_.faults.find(i);
-    attach_fault(tr, fit == opts_.faults.end() ? nullptr : &fit->second, i,
-                 opts_.n, opts_.t, opts_.seed);
+    tr.set_send_hook(slot_interceptor(
+        fit == opts_.faults.end() ? nullptr : &fit->second, i, opts_.n,
+        opts_.t, opts_.seed));
   }
 }
 
@@ -236,8 +205,8 @@ bool LoopbackCluster::run(const std::function<bool(const Node&)>& pred,
 
 const EventLog& LoopbackCluster::merged_log() const {
   log_ = EventLog{};
-  for (const auto& d : daemons_) {
-    for (const Event& e : d->world().log.events()) log_.record(e);
+  for (const EventLog& slot : logs_) {
+    for (const Event& e : slot.events()) log_.record(e);
   }
   return log_;
 }
@@ -259,9 +228,10 @@ DaemonService::DaemonService(int self, net::ClusterConfig cluster,
     : self_(self),
       seed_(seed),
       transport_(daemon_endpoint(self, std::move(cluster))),
-      slot_(*transport_, identity_epoch(transport_->n()), seed, opts) {
-  attach_fault(*transport_, fault ? &*fault : nullptr, self, transport_->n(),
-               slot_.fence().config().t, seed);
+      slot_(*transport_, identity_epoch(transport_->n()), seed, opts, log_) {
+  transport_->set_send_hook(slot_interceptor(fault ? &*fault : nullptr, self,
+                                             transport_->n(),
+                                             slot_.fence().config().t, seed));
 }
 
 bool DaemonService::start() {

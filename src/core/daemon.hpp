@@ -1,8 +1,8 @@
 // Transport-driven protocol endpoints, the per-epoch process stack, the
 // Cluster backend seam, and the multi-process daemon.
 //
-// NodeDaemon is one slot of a cluster outside the simulator: a Node wired
-// to an ITransport endpoint through a ProcessWorld-backed Context.
+// NodeDaemon is a Node on an ITransport endpoint: the ProcessHost
+// (sim/engine.hpp) of one honest Node, on any backend.
 //
 // EpochSlot is one universe slot across membership epochs: the epoch fence
 // (core/epoch.hpp) over the slot's endpoint plus the current epoch's
@@ -10,16 +10,19 @@
 // Runner::run_epochs (one EpochSlot per universe slot) and DaemonService.
 //
 // Cluster is the seam every Runner driver (and Runner::run_epochs) is
-// written against: n slot endpoints, a run loop that stops once a per-slot
-// predicate holds on every waited-on slot, actions on a slot between runs,
-// and the run's event log and metrics.  Two implementations:
+// written against: n slot endpoints, each with the event log its hosts
+// record into, a run loop that stops once a per-slot predicate holds on
+// every waited-on slot, actions on a slot between runs, and the run's
+// event log and metrics.  Two implementations:
 //
-//   * SimCluster — the deterministic simulator: one Engine hosts every
-//     slot, and a run stops at the first delivery after which every
-//     waited-on slot is done.
+//   * SimCluster — the deterministic simulator: one Engine serves every
+//     slot's endpoint, every host records into the engine's one log, and
+//     a run stops at the first delivery after which every waited-on slot
+//     is done.
 //   * LoopbackCluster — n NodeDaemons over real TCP on 127.0.0.1, one
-//     thread per endpoint, each wired straight to its transport (no epoch
-//     fence; run_epochs layers its EpochSlots over these endpoints).
+//     thread per endpoint, each wired straight to its transport and its
+//     slot's own log (no epoch fence; run_epochs layers its EpochSlots
+//     over these endpoints and logs).
 //     Thread discipline is confinement: every daemon + transport pair is
 //     driven by exactly one worker thread during a run, and by the main
 //     thread between runs (construction, actions, collection), with
@@ -61,21 +64,23 @@ BatchFraming batch_framing(const TransportOptions& opts, int slot);
 
 class NodeDaemon {
  public:
-  // Seeding matches Engine (Rng(seed).split(self)), so a daemon fleet
-  // started from one seed deals the same values the simulator would.
+  // Hosts Node `self` of (n, t) on `tr`, seeded like every slot
+  // (slot_rng), so a daemon fleet started from one seed deals the same
+  // values the simulator would.  Events go to `log`, or to a log of the
+  // daemon's own if none is given.
   NodeDaemon(int self, int n, int t, std::uint64_t seed, ITransport& tr,
-             const TransportOptions& opts);
+             const TransportOptions& opts, EventLog* log = nullptr);
 
-  Node& node() { return node_; }
-  ProcessWorld& world() { return world_; }
+  Node& node() { return static_cast<Node&>(host_.process()); }
+  ProcessWorld& world() { return host_.world(); }
 
   // Runs the node's start hook (deal / input injection).  Call once, from
   // the thread that drives the transport.
-  void start();
+  void start() { host_.start(); }
 
  private:
-  ProcessWorld world_;
-  Node node_;
+  EventLog own_log_;
+  ProcessHost host_;
 };
 
 // ----------------------------------------------------------------------
@@ -95,9 +100,9 @@ class EpochSlot {
 
   // Fences `inner` at `first` and builds that epoch's Node if the slot is
   // a member.  `seed` is the service seed; epoch e's Node is seeded with
-  // epoch_seed(seed, e).
+  // epoch_seed(seed, e).  Every epoch's Node records into `log`.
   EpochSlot(ITransport& inner, const EpochConfig& first, std::uint64_t seed,
-            TransportOptions opts);
+            TransportOptions opts, EventLog& log);
   EpochSlot(const EpochSlot&) = delete;
   EpochSlot& operator=(const EpochSlot&) = delete;
 
@@ -112,7 +117,7 @@ class EpochSlot {
   void crash();
 
   // True iff the slot holds a Node in the current epoch.
-  [[nodiscard]] bool is_member() const { return daemon_ != nullptr; }
+  [[nodiscard]] bool is_member() const { return daemon_.has_value(); }
   // The current epoch's Node stack; throws std::logic_error if there is
   // none (spectator or crashed slot).
   NodeDaemon& daemon();
@@ -124,8 +129,9 @@ class EpochSlot {
 
   std::uint64_t seed_;
   TransportOptions opts_;
+  EventLog* log_;
   EpochTransport fence_;
-  std::unique_ptr<NodeDaemon> daemon_;
+  std::optional<NodeDaemon> daemon_;
 };
 
 // ----------------------------------------------------------------------
@@ -141,6 +147,9 @@ class Cluster {
 
   // Slot i's endpoint, for stacks layered over the cluster (EpochTransport).
   virtual ITransport& transport(int i) = 0;
+  // The log slot i's hosts record into.  Only slot i's thread touches it
+  // during a run.
+  virtual EventLog& log(int i) = 0;
   // A Context acting as slot i, for actions between runs (e.g. entering
   // reconstruction after a share phase).  Never call it during a run.
   virtual Context ctx(int i) = 0;
@@ -168,7 +177,8 @@ class SimCluster final : public Cluster {
   Engine& engine() { return engine_; }
 
   ITransport& transport(int i) override { return engine_.transport(i); }
-  Context ctx(int i) override { return Context(engine_, i); }
+  EventLog& log(int /*i*/) override { return engine_.log(); }
+  Context ctx(int i) override { return engine_.host(i).ctx(); }
   RunStatus run_until(const std::function<bool(int)>& done,
                       std::vector<int> waited) override;
   [[nodiscard]] const EventLog& merged_log() const override {
@@ -204,6 +214,7 @@ class LoopbackCluster final : public Cluster {
   ITransport& transport(int i) override {
     return *transports_[static_cast<std::size_t>(i)];
   }
+  EventLog& log(int i) override { return logs_[static_cast<std::size_t>(i)]; }
   Context ctx(int i) override {
     return Context(daemons_[static_cast<std::size_t>(i)]->world());
   }
@@ -224,7 +235,8 @@ class LoopbackCluster final : public Cluster {
  private:
   LoopbackOptions opts_;
   std::vector<std::unique_ptr<net::SocketTransport>> transports_;
-  std::vector<std::unique_ptr<NodeDaemon>> daemons_;
+  std::vector<EventLog> logs_;
+  std::vector<std::optional<NodeDaemon>> daemons_;
   bool started_ = false;  // start hooks fired (first run only)
   bool capped_ = false;   // some run timed out
   mutable EventLog log_;  // merged_log()'s view, rebuilt per call
@@ -354,6 +366,7 @@ class DaemonService {
   int self_;
   std::uint64_t seed_;
   std::unique_ptr<net::SocketTransport> transport_;
+  EventLog log_;
   EpochSlot slot_;
 
   std::string checkpoint_path_;

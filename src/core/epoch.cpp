@@ -61,7 +61,7 @@ EpochTransport::EpochTransport(ITransport& inner, EpochConfig cfg)
     : inner_(inner), cfg_(std::move(cfg)) {
   rank_ = cfg_.rank_of(inner_.self());
   inner_.set_delivery(
-      [this](int from, Packet p) { on_inner(from, std::move(p)); });
+      [this](int from, const Packet& p) { on_inner(from, p); });
 }
 
 std::uint32_t EpochTransport::packet_epoch(const Packet& p) {
@@ -97,10 +97,15 @@ void EpochTransport::install(EpochConfig next) {
 void EpochTransport::flush_buffered() {
   std::deque<std::pair<int, Packet>> pending;
   pending.swap(future_);
-  for (auto& [from, p] : pending) on_inner(from, std::move(p));
+  for (const auto& [from, p] : pending) on_inner(from, p);
 }
 
-void EpochTransport::on_inner(int global_from, Packet p) {
+void EpochTransport::park(int global_from, const Packet& p) {
+  if (future_.size() >= future_cap_) future_.pop_front();
+  future_.emplace_back(global_from, p);
+}
+
+void EpochTransport::on_inner(int global_from, const Packet& p) {
   if (!p.is_rb && (p.app.type == MsgType::kEpochCatchupReq ||
                    p.app.type == MsgType::kEpochCatchupState)) {
     if (control_) control_(global_from, p.app);
@@ -108,8 +113,7 @@ void EpochTransport::on_inner(int global_from, Packet p) {
   }
   std::uint32_t e = packet_epoch(p);
   if (e > cfg_.epoch) {
-    if (future_.size() >= future_cap_) future_.pop_front();
-    future_.emplace_back(global_from, std::move(p));
+    park(global_from, p);
     return;
   }
   if (e < cfg_.epoch) {
@@ -124,12 +128,17 @@ void EpochTransport::on_inner(int global_from, Packet p) {
   if (!sink_) {
     // Boundary construction window: the next Node is not attached yet.
     // Park the packet unmodified; flush_buffered() re-fences it.
-    if (future_.size() >= future_cap_) future_.pop_front();
-    future_.emplace_back(global_from, std::move(p));
+    park(global_from, p);
     return;
   }
-  stamp_epoch(p, 0);
-  sink_(from_rank, std::move(p));
+  if (e == 0) {
+    sink_(from_rank, p);
+    return;
+  }
+  // The stack runs at epoch 0: clear a later epoch's stamp on a copy.
+  Packet local = p;
+  stamp_epoch(local, 0);
+  sink_(from_rank, local);
 }
 
 // ----------------------------------------------------------------------
@@ -248,7 +257,8 @@ EpochsResult Runner::run_epochs(const std::vector<EpochPlan>& script,
   slots.reserve(static_cast<std::size_t>(cfg_.n));
   for (int g = 0; g < cfg_.n; ++g) {
     slots.push_back(std::make_unique<EpochSlot>(
-        cluster_->transport(g), script[0].config, cfg_.seed, cfg_.transport));
+        cluster_->transport(g), script[0].config, cfg_.seed, cfg_.transport,
+        cluster_->log(g)));
   }
   auto member = [&slots](int g) -> NodeDaemon& {
     return slots[static_cast<std::size_t>(g)]->daemon();

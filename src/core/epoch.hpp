@@ -130,7 +130,9 @@ class EpochTransport final : public ITransport {
   }
 
  private:
-  void on_inner(int global_from, Packet p);
+  void on_inner(int global_from, const Packet& p);
+  // Buffers a copy of `p` (oldest dropped past the cap).
+  void park(int global_from, const Packet& p);
   static std::uint32_t packet_epoch(const Packet& p);
   static void stamp_epoch(Packet& p, std::uint32_t epoch);
 

@@ -73,7 +73,7 @@ class Node : public IProcess,
   // client (src/batch/batch.hpp).
   Node(int self, int n, int t, BatchFraming framing);
 
-  // Invoked once by the engine before any delivery; used by runners to
+  // Invoked once by the host before any delivery; used by runners to
   // kick off deals / agreement inputs.
   void set_start_action(std::function<void(Context&, Node&)> action) {
     start_action_ = std::move(action);

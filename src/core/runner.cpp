@@ -128,7 +128,7 @@ Runner::Runner(RunnerConfig cfg) : cfg_(validate(std::move(cfg))) {
   for (int i = 0; i < cfg_.n; ++i) {
     const BatchFraming framing = batch_framing(cfg_.transport, i);
     auto fit = cfg_.faults.find(i);
-    Engine::Interceptor wire = slot_interceptor(
+    ITransport::SendHook wire = slot_interceptor(
         fit == cfg_.faults.end() ? nullptr : &fit->second, i, cfg_.n, cfg_.t,
         cfg_.seed);
     auto ait = cfg_.adversaries.find(i);
@@ -142,17 +142,15 @@ Runner::Runner(RunnerConfig cfg) : cfg_(validate(std::move(cfg))) {
       advs_[static_cast<std::size_t>(i)] = slot.get();
       AdversarySlot* raw = slot.get();
       engine.set_process(i, std::move(slot));
-      engine.set_interceptor(
-          i, [raw, wire](int from, int to, Packet& p) {
-            if (!raw->on_outbound(to, p)) return false;
-            return !wire || wire(from, to, p);
-          });
-      continue;
+      wire = [raw, wire = std::move(wire)](int to, Packet& p) {
+        return raw->on_outbound(to, p) && (!wire || wire(to, p));
+      };
+    } else {
+      auto node = std::make_unique<Node>(i, cfg_.n, cfg_.t, framing);
+      nodes_[static_cast<std::size_t>(i)] = node.get();
+      engine.set_process(i, std::move(node));
     }
-    auto node = std::make_unique<Node>(i, cfg_.n, cfg_.t, framing);
-    nodes_[static_cast<std::size_t>(i)] = node.get();
-    engine.set_process(i, std::move(node));
-    if (wire) engine.set_interceptor(i, std::move(wire));
+    if (wire) engine.transport(i).set_send_hook(std::move(wire));
   }
   // Widened scheduler seam: hand the scheduler its observable-state view
   // now that every adversary slot exists.  Attached before any send, so

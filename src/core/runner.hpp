@@ -1,9 +1,9 @@
 // core::Runner — reproducible end-to-end experiment harness.
 //
-// A Runner assembles a cluster of n process slots — each hosting either
-// an honest Node or (on the simulator) an adversary strategy
-// (src/adversary/) — installs Byzantine wire interceptors for the
-// configured faulty processes, and exposes canned experiment drivers for
+// A Runner assembles a cluster of n process slots — each a ProcessHost
+// running either an honest Node or (on the simulator) an adversary
+// strategy (src/adversary/) — installs Byzantine wire interceptors as the
+// faulty slots' send hooks, and exposes canned experiment drivers for
 // every layer of the stack: one MW-SVSS session, one SVSS session, one
 // common-coin round, and full agreement runs (the paper's protocol plus
 // the Bracha-local-coin and Ben-Or baselines, ACS, MVBA, secure sum, and

@@ -201,7 +201,7 @@ void SocketTransport::broadcast(const Packet& p) {
   for (int to = 0; to < cfg_.n(); ++to) {
     // Per-recipient hook on a per-recipient copy: equivocation through the
     // seam mutates one leg without touching the others, exactly like the
-    // sim engine's interceptor.
+    // sim engine's endpoints.
     Packet copy = p;
     if (hook_ && !hook_(to, copy)) continue;
     queue_frame(to, copy);
@@ -450,7 +450,7 @@ void SocketTransport::handle_inbound(std::size_t idx) {
         continue;
       }
       if (auto p = decode_packet(*frame)) {
-        deliver(c.peer, std::move(*p));
+        deliver(c.peer, *p);
       }
       // Well-framed garbage: dropped alone, stream continues.
     }
@@ -466,9 +466,9 @@ void SocketTransport::handle_inbound(std::size_t idx) {
 // Delivery and the loop
 // ----------------------------------------------------------------------
 
-void SocketTransport::deliver(int from, Packet p) {
+void SocketTransport::deliver(int from, const Packet& p) {
   metrics_.packets_delivered++;
-  if (sink_) sink_(from, std::move(p));
+  if (sink_) sink_(from, p);
 }
 
 void SocketTransport::drain_local() {
@@ -476,7 +476,7 @@ void SocketTransport::drain_local() {
   while (!local_.empty()) {
     Packet p = std::move(local_.front());
     local_.pop_front();
-    deliver(self_, std::move(p));
+    deliver(self_, p);
   }
 }
 

@@ -159,7 +159,7 @@ class SocketTransport final : public ITransport {
   void handle_inbound(std::size_t idx);
   void close_inbound(std::size_t idx);
   void drain_local();
-  void deliver(int from, Packet p);
+  void deliver(int from, const Packet& p);
   [[nodiscard]] int epoll_timeout(int wait_ms) const;
 
   int self_;

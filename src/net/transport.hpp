@@ -3,11 +3,13 @@
 //
 // Every layer above this header (core::Node, the batching layer, the
 // adversary strategies) speaks to the network through a Context, and a
-// Context speaks to exactly one ITransport endpoint.  Two backends
-// implement the seam:
+// Context speaks to exactly one ITransport endpoint: a ProcessHost
+// (sim/engine.hpp) binds a process to its endpoint the same way on every
+// backend, and wire faults act through the endpoint's one SendHook.  Two
+// backends implement the seam:
 //
 //   * sim::Engine — the deterministic discrete-event simulator.  One
-//     engine hosts all n endpoints (Engine::transport(id)); delivery runs
+//     engine serves all n endpoints (Engine::transport(id)); delivery runs
 //     through the adversarial scheduler, and a run stays a pure function
 //     of (processes, scheduler, seed).  This is the proof-carrying
 //     reference backend: replay is byte-identical, and the equivalence
@@ -22,7 +24,8 @@
 // core::Runner reaches both through one Cluster seam (core/daemon.hpp:
 // SimCluster over the Engine, LoopbackCluster over n SocketTransports in
 // one process), so every Runner driver runs on either backend;
-// TransportOptions::kind picks which.  Adversary strategies stay sim-only.
+// TransportOptions::kind picks which.  Adversary strategies attach through
+// the same host and send hook, but the Runner hosts them on the sim only.
 //
 // This header sits *below* both backends: it depends only on the wire
 // message model (sim/message.hpp), carries no out-of-line code, and is the
@@ -41,11 +44,14 @@ namespace svss {
 class ITransport {
  public:
   // Inbound delivery sink: invoked once per received packet, on the
-  // thread/loop that drives the backend.  Exactly one sink per endpoint.
-  using Delivery = std::function<void(int from, Packet p)>;
-  // Outbound fault-injection hook (the seam's interceptor attachment
-  // point): runs on every packet this endpoint sends, before framing.
-  // May mutate the packet per recipient; returning false drops it.
+  // thread/loop that drives the backend.  Exactly one sink per endpoint;
+  // the packet is only borrowed for the call, so a sink that keeps it
+  // copies it.
+  using Delivery = std::function<void(int from, const Packet& p)>;
+  // Outbound hook: runs on every packet this endpoint sends, per
+  // recipient, before it is metered or framed.  May mutate the packet;
+  // returning false drops it.  Byzantine wire faults (core/byzantine.hpp)
+  // and adversary strategies' outbound gates attach here.
   using SendHook = std::function<bool(int to, Packet& p)>;
 
   virtual ~ITransport() = default;

@@ -28,33 +28,26 @@ EventLog::recon_outputs(EventKind kind, const SessionId& sid) const {
   return out;
 }
 
-int Context::n() const { return engine_ ? engine_->n() : world_->n; }
-int Context::t() const { return engine_ ? engine_->t() : world_->t; }
-Rng& Context::rng() { return engine_ ? engine_->rng_for(self_) : world_->rng; }
-EventLog& Context::log() { return engine_ ? engine_->log() : world_->log; }
-
-void Context::send(int to, Packet p) {
-  if (engine_) {
-    engine_->enqueue(self_, to, std::move(p));
-    return;
-  }
-  world_->transport->send(to, std::move(p));
+Rng slot_rng(std::uint64_t seed, int self) {
+  Rng root(seed);
+  root.discard(static_cast<std::uint64_t>(self));  // splits 0 .. self-1
+  return root.split(static_cast<std::uint64_t>(self));
 }
 
-void Context::send_all(Packet p) {
-  if (engine_) {
-    for (int to = 0; to < engine_->n(); ++to) {
-      engine_->enqueue(self_, to, p);
-    }
-    return;
-  }
-  world_->transport->broadcast(p);
+ProcessHost::ProcessHost(std::unique_ptr<IProcess> proc, int t,
+                         std::uint64_t seed, ITransport& tr, EventLog& log)
+    : world_{tr.self(), tr.n(), t, slot_rng(seed, tr.self()), &log, &tr},
+      proc_(std::move(proc)) {
+  tr.set_delivery([this](int from, const Packet& p) {
+    Context ctx(world_);
+    proc_->on_packet(ctx, from, p);
+  });
 }
 
 // ----------------------------------------------------------------------
-// SimPort: the engine as one slot's ITransport endpoint.  Sends feed the
-// scheduler exactly like Context::send; a registered delivery sink takes
-// the place of the slot's IProcess in deliver_one.
+// SimPort: the engine as one slot's ITransport endpoint.  Sends run the
+// slot's send hook per recipient, then feed the scheduler; deliver_one
+// hands every packet for the slot to its delivery sink.
 // ----------------------------------------------------------------------
 class Engine::SimPort final : public ITransport {
  public:
@@ -64,20 +57,18 @@ class Engine::SimPort final : public ITransport {
     if (hook_ && !hook_(to, p)) return;
     eng_->enqueue(id_, to, std::move(p));
   }
+  // Per recipient: copy, hook, enqueue.
   void broadcast(const Packet& p) override {
-    for (int to = 0; to < eng_->n(); ++to) {
-      Packet copy = p;
-      if (hook_ && !hook_(to, copy)) continue;
-      eng_->enqueue(id_, to, std::move(copy));
-    }
+    for (int to = 0; to < eng_->n(); ++to) send(to, p);
   }
   void set_delivery(Delivery sink) override { sink_ = std::move(sink); }
   void set_send_hook(SendHook hook) override { hook_ = std::move(hook); }
   [[nodiscard]] int self() const override { return id_; }
   [[nodiscard]] int n() const override { return eng_->n(); }
 
-  [[nodiscard]] bool has_sink() const { return static_cast<bool>(sink_); }
-  void deliver(int from, Packet p) { sink_(from, std::move(p)); }
+  void deliver(int from, const Packet& p) {
+    if (sink_) sink_(from, p);
+  }
 
  private:
   Engine* eng_;
@@ -87,36 +78,29 @@ class Engine::SimPort final : public ITransport {
 };
 
 ITransport& Engine::transport(int id) {
-  auto idx = static_cast<std::size_t>(id);
-  if (ports_.size() < static_cast<std::size_t>(n_)) {
-    ports_.resize(static_cast<std::size_t>(n_));
-  }
-  if (!ports_.at(idx)) ports_[idx] = std::make_unique<SimPort>(*this, id);
-  return *ports_[idx];
+  return ports_.at(static_cast<std::size_t>(id));
 }
 
 Engine::~Engine() = default;
 
 Engine::Engine(int n, int t, std::uint64_t seed,
                std::unique_ptr<Scheduler> sched)
-    : n_(n), t_(t), sched_(std::move(sched)),
-      procs_(static_cast<std::size_t>(n)),
-      interceptors_(static_cast<std::size_t>(n)),
+    : n_(n), t_(t), seed_(seed), sched_(std::move(sched)),
+      hosts_(static_cast<std::size_t>(n)),
       proc_depth_(static_cast<std::size_t>(n), 0) {
   if (n <= 0) throw std::invalid_argument("Engine: n must be positive");
-  Rng root(seed);
-  rngs_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    rngs_.push_back(root.split(static_cast<std::uint64_t>(i)));
-  }
+  ports_.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) ports_.emplace_back(*this, i);
 }
 
 void Engine::set_process(int id, std::unique_ptr<IProcess> p) {
-  procs_.at(static_cast<std::size_t>(id)) = std::move(p);
+  hosts_.at(static_cast<std::size_t>(id))
+      .emplace(std::move(p), t_, seed_, ports_[static_cast<std::size_t>(id)],
+               log_);
 }
 
-void Engine::set_interceptor(int id, Interceptor f) {
-  interceptors_.at(static_cast<std::size_t>(id)) = std::move(f);
+ProcessHost& Engine::host(int id) {
+  return hosts_.at(static_cast<std::size_t>(id)).value();
 }
 
 // ----------------------------------------------------------------------
@@ -191,11 +175,8 @@ void Engine::compact_queue() {
   std::sort(heap_.begin(), heap_.end(), heap_less);
 }
 
-void Engine::enqueue(int from, int to, Packet p) {
+void Engine::enqueue(int from, int to, Packet&& p) {
   assert(to >= 0 && to < n_);
-  if (from >= 0 && interceptors_[static_cast<std::size_t>(from)]) {
-    if (!interceptors_[static_cast<std::size_t>(from)](from, to, p)) return;
-  }
   std::uint64_t seq = next_seq_++;
 
   std::uint32_t slot;
@@ -284,14 +265,7 @@ void Engine::deliver_one() {
   free_slots_.push_back(slot);
 
   if (observer_) observer_(PendingInfo{seq, from, to, pkt.is_rb}, pkt);
-
-  auto ti = static_cast<std::size_t>(to);
-  if (ti < ports_.size() && ports_[ti] && ports_[ti]->has_sink()) {
-    ports_[ti]->deliver(from, std::move(pkt));
-    return;
-  }
-  Context ctx(*this, to);
-  procs_[ti]->on_packet(ctx, from, pkt);
+  ports_[static_cast<std::size_t>(to)].deliver(from, pkt);
 }
 
 RunStatus Engine::run(std::uint64_t max_deliveries) {
@@ -301,20 +275,10 @@ RunStatus Engine::run(std::uint64_t max_deliveries) {
 RunStatus Engine::run_until(const std::function<bool()>& done,
                             std::uint64_t max_deliveries) {
   if (!started_) {
+    // Nothing was delivered yet, so every start-burst send is at depth 1.
     started_ = true;
-    for (int i = 0; i < n_; ++i) {
-      auto idx = static_cast<std::size_t>(i);
-      if (!procs_[idx]) {
-        // A transport-driven slot has no start hook: whoever registered
-        // the sink injects the slot's initial sends itself.
-        if (idx < ports_.size() && ports_[idx] && ports_[idx]->has_sink()) {
-          continue;
-        }
-        throw std::logic_error("Engine: process not set");
-      }
-      current_depth_ = 0;
-      Context ctx(*this, i);
-      procs_[idx]->start(ctx);
+    for (auto& h : hosts_) {
+      if (h) h->start();
     }
   }
   std::uint64_t budget = max_deliveries;

@@ -1,11 +1,14 @@
-// Discrete-event simulation engine: processes, private channels, and an
-// adversarial scheduler.
+// Discrete-event simulation engine: private channels and an adversarial
+// scheduler, plus the process host every backend shares.
 //
 // The engine is the substrate substituting for the paper's asynchronous
-// network.  It owns n processes, a pool of in-flight packets, and delivers
-// one packet per step in scheduler-priority order, with an age cap that
-// guarantees eventual delivery.  Determinism: a run is a pure function of
-// (processes, scheduler, seed), so every failure is replayable.
+// network.  It serves n ITransport endpoints, owns the pool of in-flight
+// packets, and delivers one packet per step in scheduler-priority order,
+// with an age cap that guarantees eventual delivery, to the receiving
+// endpoint's delivery sink.  Processes attach to its endpoints exactly as
+// they attach to a socket: through a ProcessHost.  Determinism: a run is a
+// pure function of (processes, scheduler, seed), so every failure is
+// replayable.
 #pragma once
 
 #include <cstdint>
@@ -66,55 +69,48 @@ class EventLog {
 };
 
 // ----------------------------------------------------------------------
-// Process interface and per-process context
+// Processes and the host that attaches them to a network
 // ----------------------------------------------------------------------
 
-class Engine;
+// Slot `self`'s private random stream in a run seeded with `seed`: the
+// self-th of sequential splits of one root (each split advances the root).
+// Every host derives its stream here, so one seed deals the same values on
+// every backend.
+[[nodiscard]] Rng slot_rng(std::uint64_t seed, int self);
 
-// A single-endpoint world: everything one process needs when it is NOT
-// hosted inside an Engine — its own RNG stream, its own event log, and an
-// ITransport endpoint to reach its peers.  This is what a socket-backed
-// daemon (core/daemon.hpp) builds one of per OS process/thread; the seeding
-// convention (the self-th of Engine's sequential root splits) matches the
-// simulator's exactly, so a daemon fleet started from one seed deals the
-// same values the simulator would.
+// Everything one process sees of the world: its id and system size, its
+// own RNG stream, the event log it records into, and the ITransport
+// endpoint that reaches its peers.
 struct ProcessWorld {
   int self = 0;
   int n = 0;
   int t = 0;
   Rng rng{0};
-  EventLog log;
+  EventLog* log = nullptr;
   ITransport* transport = nullptr;
 };
 
-// Handle through which a process interacts with the world.  Passed to every
-// callback; never stored by processes.  Backed either by an Engine (the
-// simulator: sends go through the adversarial scheduler) or by a
-// ProcessWorld (a real transport: sends go straight to the seam).  The
-// engine branch is the original code path, untouched — replay stays
-// byte-identical.
+// Handle through which a process interacts with its world.  Passed to every
+// callback; never stored by processes.  Sends go straight to the world's
+// endpoint, whatever backend implements it.
 class Context {
  public:
-  Context(Engine& engine, int self) : engine_(&engine), self_(self) {}
-  explicit Context(ProcessWorld& world)
-      : world_(&world), self_(world.self) {}
+  explicit Context(ProcessWorld& world) : world_(&world) {}
 
-  [[nodiscard]] int self() const { return self_; }
-  [[nodiscard]] int n() const;
-  [[nodiscard]] int t() const;
-  Rng& rng();
-  EventLog& log();
+  [[nodiscard]] int self() const { return world_->self; }
+  [[nodiscard]] int n() const { return world_->n; }
+  [[nodiscard]] int t() const { return world_->t; }
+  Rng& rng() { return world_->rng; }
+  EventLog& log() { return *world_->log; }
 
   // Sends `p` over the private channel self -> to.  Sending to self is
-  // allowed and goes through the scheduler like any other packet.
-  void send(int to, Packet p);
+  // allowed and is delivered like any other packet.
+  void send(int to, Packet p) { world_->transport->send(to, std::move(p)); }
   // Convenience: send a packet to every process (including self).
-  void send_all(Packet p);
+  void send_all(const Packet& p) { world_->transport->broadcast(p); }
 
  private:
-  Engine* engine_ = nullptr;
-  ProcessWorld* world_ = nullptr;
-  int self_;
+  ProcessWorld* world_;
 };
 
 class IProcess {
@@ -122,6 +118,38 @@ class IProcess {
   virtual ~IProcess() = default;
   virtual void start(Context& ctx) = 0;
   virtual void on_packet(Context& ctx, int from, const Packet& p) = 0;
+};
+
+// The one way a process attaches to a network, on every backend: a
+// ProcessWorld over an ITransport endpoint plus the IProcess it runs.  The
+// host installs itself as the endpoint's delivery sink when built and
+// clears the endpoint's sink when destroyed; its world's id and size are
+// the endpoint's.  Neither copyable nor movable: the sink captures its
+// address.
+class ProcessHost {
+ public:
+  // Hosts `proc` on `tr` with resilience `t`, the slot's stream of a run
+  // seeded with `seed` (slot_rng), recording events into `log`.
+  ProcessHost(std::unique_ptr<IProcess> proc, int t, std::uint64_t seed,
+              ITransport& tr, EventLog& log);
+  ~ProcessHost() { world_.transport->set_delivery(nullptr); }
+  ProcessHost(const ProcessHost&) = delete;
+  ProcessHost& operator=(const ProcessHost&) = delete;
+
+  // Runs the process's start hook.  Call once, from the thread that
+  // drives the endpoint.
+  void start() {
+    Context ctx(world_);
+    proc_->start(ctx);
+  }
+  // A Context acting as this process, for actions outside a delivery.
+  Context ctx() { return Context(world_); }
+  ProcessWorld& world() { return world_; }
+  IProcess& process() { return *proc_; }
+
+ private:
+  ProcessWorld world_;
+  std::unique_ptr<IProcess> proc_;
 };
 
 // ----------------------------------------------------------------------
@@ -138,27 +166,21 @@ class Engine {
   Engine(int n, int t, std::uint64_t seed, std::unique_ptr<Scheduler> sched);
   ~Engine();
 
-  // Must be called for every id in [0, n) before run() — unless the slot is
-  // driven through its transport() endpoint's delivery sink instead.
-  void set_process(int id, std::unique_ptr<IProcess> p);
-
   // The seam: this engine viewed as process `id`'s ITransport endpoint.
-  // send/broadcast enqueue through the scheduler exactly like Context; a
-  // registered delivery sink receives the slot's packets in place of an
-  // IProcess.  This is how the simulator serves as the reference backend
-  // for code written against the transport interface.
+  // send/broadcast enqueue through the scheduler (the send hook runs per
+  // recipient first; a dropped packet is never metered), and every packet
+  // delivered to `id` goes to the endpoint's delivery sink.
   ITransport& transport(int id);
 
-  // Outbound interceptor for a (faulty) process: inspects/mutates every
-  // packet the process sends, per recipient; returning false drops it.
-  // This models Byzantine behaviour as "honest code, corrupted wire":
-  // equivocation, wrong shares, selective silence, etc., without forking
-  // the protocol implementation.
-  using Interceptor = std::function<bool(int from, int to, Packet&)>;
-  void set_interceptor(int id, Interceptor f);
+  // Shorthand: hosts `p` on transport(id), seeded from the engine's seed
+  // and recording into log(), replacing any process the engine hosts
+  // there.  A slot driven by some other sink needs no process.
+  void set_process(int id, std::unique_ptr<IProcess> p);
+  // The host set_process built for `id`; throws if there is none.
+  ProcessHost& host(int id);
 
-  // Calls start() on every process, then delivers packets until quiescence
-  // or the delivery cap.
+  // Calls start() on every hosted process (in id order, on the first run
+  // only), then delivers packets until quiescence or the delivery cap.
   RunStatus run(std::uint64_t max_deliveries = 50'000'000);
 
   // Delivers packets until `done()` returns true (early stop for
@@ -172,8 +194,6 @@ class Engine {
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
   [[nodiscard]] EventLog& log() { return log_; }
   [[nodiscard]] const EventLog& log() const { return log_; }
-  Rng& rng_for(int id) { return rngs_[static_cast<std::size_t>(id)]; }
-  IProcess& process(int id) { return *procs_[static_cast<std::size_t>(id)]; }
 
   // Age cap: a packet skipped for more than this many deliveries is forced
   // through, guaranteeing eventual delivery under any scheduler.
@@ -201,9 +221,8 @@ class Engine {
   }
 
  private:
-  friend class Context;
   class SimPort;
-  void enqueue(int from, int to, Packet p);
+  void enqueue(int from, int to, Packet&& p);
   void deliver_one();
   [[nodiscard]] bool idle() const { return in_flight_ == 0; }
 
@@ -244,11 +263,12 @@ class Engine {
 
   int n_;
   int t_;
+  std::uint64_t seed_;
   std::unique_ptr<Scheduler> sched_;
-  std::vector<std::unique_ptr<IProcess>> procs_;
-  std::vector<std::unique_ptr<SimPort>> ports_;  // lazily created per id
-  std::vector<Interceptor> interceptors_;
-  std::vector<Rng> rngs_;
+  // One endpoint per id, then set_process's hosts, which detach from their
+  // endpoints as they are destroyed (members die in reverse order).
+  std::vector<SimPort> ports_;
+  std::vector<std::optional<ProcessHost>> hosts_;
   // Arena of in-flight packets: slots are reused through free_slots_, so a
   // long run allocates a bounded number of Pending records regardless of
   // how many packets flow through.  heap_ orders slots by scheduler

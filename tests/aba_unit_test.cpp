@@ -89,7 +89,7 @@ struct AbaUnit : public ::testing::Test {
 using RoundKey = std::pair<std::uint32_t, std::uint32_t>;
 
 TEST_F(AbaUnit, StartSendsEstWithoutRequestingSvssCoin) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   AbaSession s(host, 0, kN, kT, CoinMode::kSvss, 0);
   s.start(ctx, 1);
   EXPECT_EQ(host.sent_values(0, 1), (std::vector<int>{1}));
@@ -101,7 +101,7 @@ TEST_F(AbaUnit, StartSendsEstWithoutRequestingSvssCoin) {
 }
 
 TEST_F(AbaUnit, BvRelaysAtTPlusOneAndAcceptsAtTwoTPlusOne) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   AbaSession s(host, 0, kN, kT, CoinMode::kIdealCommon, 7);
   s.start(ctx, 0);  // own EST(0) sent
   // One EST(1) is below the relay threshold.
@@ -118,7 +118,7 @@ TEST_F(AbaUnit, BvRelaysAtTPlusOneAndAcceptsAtTwoTPlusOne) {
 }
 
 TEST_F(AbaUnit, AuxRequiresJustifiedValues) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   AbaSession s(host, 0, kN, kT, CoinMode::kIdealCommon, 7);
   s.start(ctx, 1);
   // bin = {1} via ESTs (the mock host does not self-deliver, so three
@@ -146,7 +146,7 @@ void drive_to_conf(Context& ctx, AbaSession& s, AbaUnit& f) {
 }
 
 TEST_F(AbaUnit, ConfSupermajorityDecides) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   AbaSession s(host, 0, kN, kT, CoinMode::kIdealCommon, 7);
   drive_to_conf(ctx, s, *this);
   // 2t+1 = 3 CONF {1} singletons: decide 1 in round 1.
@@ -162,7 +162,7 @@ TEST_F(AbaUnit, ConfSupermajorityDecides) {
 }
 
 TEST_F(AbaUnit, ConfMinorityAdoptsWithoutDeciding) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   AbaSession s(host, 0, kN, kT, CoinMode::kIdealCommon, 7);
   drive_to_conf(ctx, s, *this);
   // t+1 = 2 singletons {1}, one {0,1}: adopt est = 1, no decision.
@@ -175,7 +175,7 @@ TEST_F(AbaUnit, ConfMinorityAdoptsWithoutDeciding) {
 }
 
 TEST_F(AbaUnit, NoTierFallsBackToCoin) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   // Ideal coin mode: the coin is available synchronously.
   AbaSession s(host, 0, kN, kT, CoinMode::kIdealCommon, 7);
   drive_to_conf(ctx, s, *this);
@@ -186,7 +186,7 @@ TEST_F(AbaUnit, NoTierFallsBackToCoin) {
 }
 
 TEST_F(AbaUnit, NoSvssCoinRequestWhenTierGivesEstimate) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   AbaSession s(host, 0, kN, kT, CoinMode::kSvss, 0);
   drive_to_conf(ctx, s, *this);
   // t+1 = 2 singletons {1}: the estimate comes from the sample.
@@ -200,7 +200,7 @@ TEST_F(AbaUnit, NoSvssCoinRequestWhenTierGivesEstimate) {
 }
 
 TEST_F(AbaUnit, FallThroughRequestsSvssCoinExactlyOnce) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   AbaSession s(host, 0, kN, kT, CoinMode::kSvss, 0, /*instance=*/3);
   drive_to_conf(ctx, s, *this);
   EXPECT_TRUE(host.coin_requests.empty());  // sample not frozen yet
@@ -232,7 +232,7 @@ TEST_F(AbaUnit, FallThroughRequestsSvssCoinExactlyOnce) {
 }
 
 TEST_F(AbaUnit, SvssCoinArrivingLateStillAdvances) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   AbaSession s(host, 0, kN, kT, CoinMode::kSvss, 0);
   drive_to_conf(ctx, s, *this);
   for (int from : {1, 2, 3}) s.on_broadcast(ctx, from, vote(1, 2, 3));
@@ -244,7 +244,7 @@ TEST_F(AbaUnit, SvssCoinArrivingLateStillAdvances) {
 }
 
 TEST_F(AbaUnit, DecideAggregationFromTPlusOneAnnouncements) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   AbaSession s(host, 0, kN, kT, CoinMode::kIdealCommon, 7);
   s.start(ctx, 0);
   s.on_direct(ctx, 2, vote(1, 3, 1));
@@ -255,7 +255,7 @@ TEST_F(AbaUnit, DecideAggregationFromTPlusOneAnnouncements) {
 }
 
 TEST_F(AbaUnit, MalformedVotesIgnored) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   AbaSession s(host, 0, kN, kT, CoinMode::kIdealCommon, 7);
   s.start(ctx, 1);
   s.on_direct(ctx, 1, vote(1, 0, 7));       // non-binary value
@@ -271,7 +271,7 @@ TEST_F(AbaUnit, MalformedVotesIgnored) {
 // kLocal and kIdealCommon keep drawing their coin at round entry, and never
 // involve the host's coin hooks.
 TEST_F(AbaUnit, LocalCoinModeSuppliesCoinImmediately) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   AbaSession s(host, 0, kN, kT, CoinMode::kLocal, 0);
   s.start(ctx, 0);
   EXPECT_TRUE(s.snapshot(1).has_coin);
@@ -280,7 +280,7 @@ TEST_F(AbaUnit, LocalCoinModeSuppliesCoinImmediately) {
 }
 
 TEST_F(AbaUnit, IdealCoinModeSuppliesCoinAtEveryRoundEntry) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   AbaSession s(host, 0, kN, kT, CoinMode::kIdealCommon, 7, /*instance=*/2);
   drive_to_conf(ctx, s, *this);
   EXPECT_TRUE(s.snapshot(1).has_coin);
@@ -325,7 +325,7 @@ struct CoinJoin : public AbaUnit {
 };
 
 TEST_F(CoinJoin, JoinsAtOnceWhenRoundAlreadyEntered) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   Node node(0, kN, kT, kBatched);
   node.start_aba(ctx, 1, CoinMode::kSvss, 0, /*instance=*/5);
   EXPECT_FALSE(joined(node, 5, 1));  // entering round 1 deals nothing
@@ -338,7 +338,7 @@ TEST_F(CoinJoin, JoinsAtOnceWhenRoundAlreadyEntered) {
 }
 
 TEST_F(CoinJoin, NestedMwTrafficCountsAsContact) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   Node node(0, kN, kT, kBatched);
   node.start_aba(ctx, 1, CoinMode::kSvss);
   node.on_packet(ctx, 1, mw_contact(0, 1));
@@ -346,7 +346,7 @@ TEST_F(CoinJoin, NestedMwTrafficCountsAsContact) {
 }
 
 TEST_F(CoinJoin, EarlyContactJoinsOnRoundEntry) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   Node node(0, kN, kT, kBatched);
   // Peers dealt coin round 1 of instance 2 before this process started
   // the instance: remembered, not acted on.
@@ -357,7 +357,7 @@ TEST_F(CoinJoin, EarlyContactJoinsOnRoundEntry) {
 }
 
 TEST_F(CoinJoin, ContactForUnenteredRoundStartsNothing) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   Node node(0, kN, kT, kBatched);
   node.start_aba(ctx, 1, CoinMode::kSvss);
   // A faulty peer cannot pull coins ahead of the agreement: rounds this
@@ -373,7 +373,7 @@ TEST_F(CoinJoin, ContactForUnenteredRoundStartsNothing) {
 }
 
 TEST_F(CoinJoin, IdealCoinInstanceIgnoresContact) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   Node node(0, kN, kT, kBatched);
   node.start_aba(ctx, 1, CoinMode::kIdealCommon, 7);
   node.on_packet(ctx, 1, contact(0, 1));

@@ -15,7 +15,6 @@
 #include "batch/codec.hpp"
 #include "common/serialization.hpp"
 #include "sim/engine.hpp"
-#include "sim/scheduler.hpp"
 
 namespace svss {
 namespace {
@@ -41,8 +40,8 @@ struct Recorder : BatchHost {
 // sub-messages it hands to the host.
 std::vector<Message> unpack_all(const Message& env, bool via_rb,
                                 int n = 4) {
-  Engine e(n, 1, 1, std::make_unique<FifoScheduler>());
-  Context ctx(e, 0);
+  ProcessWorld world{0, n, 1};
+  Context ctx(world);
   Recorder host;
   Batcher rx(host, /*self=*/0, n, /*t=*/1, kAllBatched);
   rx.unpack(ctx, /*sender=*/2, env, via_rb);
@@ -88,8 +87,8 @@ TEST(MwGroupCodec, GroupAndChildSidsAreInverse) {
 }
 
 TEST(MwGroupCodec, RoundTripReproducesPerSessionMessages) {
-  Engine e(4, 1, 1, std::make_unique<FifoScheduler>());
-  Context ctx(e, 1);
+  ProcessWorld world{1, 4, 1};
+  Context ctx(world);
   Recorder host;
   Batcher tx(host, 1, 4, 1, kAllBatched);
   tx.open_window();
@@ -337,8 +336,8 @@ Message vote_envelope(MsgType type, std::vector<int> ints,
 }
 
 TEST(VoteCodec, RoundTripReproducesPerSessionVotes) {
-  Engine e(4, 1, 1, std::make_unique<FifoScheduler>());
-  Context ctx(e, 1);
+  ProcessWorld world{1, 4, 1};
+  Context ctx(world);
   Recorder host;
   Batcher tx(host, 1, 4, 1, kAllBatched);
   const std::vector<Message> to_two = {vote(0, 1, 0, 1), vote(7, 2, 1, 0),
@@ -380,8 +379,8 @@ TEST(VoteCodec, RoundTripReproducesPerSessionVotes) {
 }
 
 TEST(VoteCodec, FramingSwitchAndWindowGateCapture) {
-  Engine e(4, 1, 1, std::make_unique<FifoScheduler>());
-  Context ctx(e, 1);
+  ProcessWorld world{1, 4, 1};
+  Context ctx(world);
   Recorder host;
   Batcher per_session(host, 1, 4, 1, BatchFraming{true, true, false});
   per_session.open_window();
@@ -413,8 +412,8 @@ Message coin_envelope(MsgType type) {
 }
 
 TEST(CoinCodec, RoundTripFlushesWhenAllSiblingsAreIn) {
-  Engine e(4, 1, 1, std::make_unique<FifoScheduler>());
-  Context ctx(e, 1);
+  ProcessWorld world{1, 4, 1};
+  Context ctx(world);
   Recorder host;
   Batcher tx(host, /*self=*/1, 4, 1, kAllBatched);
   // Dealing: attachee-major, recipients ascending, no window needed.
@@ -454,8 +453,8 @@ TEST(CoinCodec, RoundTripFlushesWhenAllSiblingsAreIn) {
 }
 
 TEST(CoinCodec, OnlyOwnSessionsAreCaptured) {
-  Engine e(4, 1, 1, std::make_unique<FifoScheduler>());
-  Context ctx(e, 0);
+  ProcessWorld world{0, 4, 1};
+  Context ctx(world);
   Recorder host;
   Batcher tx(host, /*self=*/0, 4, 1, kAllBatched);
   Message m;

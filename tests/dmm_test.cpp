@@ -32,10 +32,16 @@ Message mw_msg(const SessionId& sid, MsgType type) {
   return m;
 }
 
+// Hosts a no-op process in every slot of `e`.
+Engine& with_noops(Engine& e) {
+  for (int i = 0; i < e.n(); ++i) e.set_process(i, std::make_unique<Noop>());
+  return e;
+}
+
 struct DmmFixture : public ::testing::Test {
   DmmFixture()
       : engine(4, 1, 1, std::make_unique<FifoScheduler>()),
-        ctx(engine, 0),
+        ctx(with_noops(engine).host(0).ctx()),
         dmm(Dmm::Hooks{
             [this](Context&, int suspect, const SessionId& where) {
               shunned.emplace_back(suspect, where);
@@ -43,9 +49,7 @@ struct DmmFixture : public ::testing::Test {
             [this](Context&, int from, const Message& m, bool via_rb) {
               released.emplace_back(from, m.sid);
               (void)via_rb;
-            }}) {
-    for (int i = 0; i < 4; ++i) engine.set_process(i, std::make_unique<Noop>());
-  }
+            }}) {}
 
   Engine engine;
   Context ctx;

@@ -1,5 +1,5 @@
 // Unit tests: the discrete-event engine — delivery, determinism, causal
-// depth, eventual delivery under hostile schedulers, interceptors.
+// depth, eventual delivery under hostile schedulers, endpoint send hooks.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -56,7 +56,7 @@ TEST(Engine, SelfSendGoesThroughScheduler) {
   auto echo = std::make_unique<Echo>();
   Echo* raw = echo.get();
   e.set_process(0, std::move(echo));
-  Context ctx(e, 0);
+  Context ctx = e.host(0).ctx();
   Message m;
   m.a = 9;
   ctx.send(0, make_direct(m));
@@ -70,7 +70,7 @@ TEST(Engine, DeliveryCapStopsRunawayRuns) {
   Engine e(2, 0, 1, std::make_unique<FifoScheduler>());
   e.set_process(0, std::make_unique<Echo>(1 << 20));
   e.set_process(1, std::make_unique<Echo>(1 << 20));
-  Context ctx(e, 0);
+  Context ctx = e.host(0).ctx();
   Message m;
   ctx.send(1, make_direct(m));
   EXPECT_EQ(e.run(1000), RunStatus::kDeliveryCap);
@@ -85,7 +85,7 @@ TEST(Engine, RunUntilStopsEarly) {
     echoes.push_back(p.get());
     e.set_process(i, std::move(p));
   }
-  Context ctx(e, 0);
+  Context ctx = e.host(0).ctx();
   for (int k = 0; k < 10; ++k) {
     Message m;
     m.a = static_cast<std::int16_t>(k);
@@ -105,7 +105,7 @@ TEST(Engine, DeterministicAcrossIdenticalRuns) {
       echoes.push_back(p.get());
       e.set_process(i, std::move(p));
     }
-    Context ctx(e, 0);
+    Context ctx = e.host(0).ctx();
     for (int to = 0; to < 4; ++to) {
       Message m;
       m.a = static_cast<std::int16_t>(to);
@@ -145,12 +145,12 @@ TEST(Engine, AgeCapForcesStarvedPacket) {
   Echo* raw = echo.get();
   e.set_process(0, std::make_unique<Echo>(200));
   e.set_process(1, std::move(echo));
-  Context ctx(e, 1);
+  Context ctx = e.host(1).ctx();
   // Seed chatter 1 -> 0 (fast direction) so the run does not quiesce
   // before the age cap can trigger, plus one starved packet 0 -> 1.
   Message m;
   ctx.send(0, make_direct(m));
-  Context ctx0(e, 0);
+  Context ctx0 = e.host(0).ctx();
   ctx0.send(1, make_direct(m));
   e.run_until([&] { return !raw->received.empty(); }, 500);
   EXPECT_FALSE(raw->received.empty());
@@ -204,7 +204,7 @@ TEST(Engine, CausalDepthTracksChains) {
   Engine e(2, 0, 1, std::make_unique<FifoScheduler>());
   e.set_process(0, std::make_unique<Echo>(5));
   e.set_process(1, std::make_unique<Echo>(5));
-  Context ctx(e, 0);
+  Context ctx = e.host(0).ctx();
   Message m;
   ctx.send(1, make_direct(m));
   e.run();
@@ -217,7 +217,7 @@ TEST(Engine, InterceptorDropsAndMutates) {
   Echo* raw = echo.get();
   e.set_process(0, std::make_unique<Spammer>());
   e.set_process(1, std::move(echo));
-  e.set_interceptor(0, [](int, int to, Packet& p) {
+  e.transport(0).set_send_hook([](int to, Packet& p) {
     if (to == 0) return false;  // drop self-send
     p.app.a = 99;
     return true;
@@ -234,6 +234,17 @@ TEST(Engine, MetricsCountBytes) {
   e.set_process(1, std::make_unique<Echo>());
   e.run();
   EXPECT_GT(e.metrics().bytes_sent, 0u);
+}
+
+// Slot i's stream is the i-th of sequential splits of one root, on every
+// backend.
+TEST(Engine, SlotRngIsTheSequentialSplit) {
+  Rng root(77);
+  for (int i = 0; i < 8; ++i) {
+    Rng expected = root.split(static_cast<std::uint64_t>(i));
+    Rng got = slot_rng(77, i);
+    for (int k = 0; k < 4; ++k) EXPECT_EQ(got.next_u64(), expected.next_u64());
+  }
 }
 
 TEST(EventLog, ShunPairsDeduplicates) {

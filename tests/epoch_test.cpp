@@ -158,5 +158,42 @@ TEST(EpochLoopback, CrashAtBoundarySurvivorsDecide) {
   EXPECT_EQ(res.epochs[1].decisions.at(2).size(), 3u);
 }
 
+// Every live member's decision of every plan instance is in
+// Runner::log(): each epoch's Node records into the log the cluster serves
+// for its slot.  Nodes log their rank, and the script's instance ids are
+// distinct across epochs, so (rank, instance) names one decision.
+void expect_epoch_decisions_logged(TransportKind kind) {
+  RunnerConfig cfg = universe_config(5, 1, 4403);
+  cfg.transport.kind = kind;
+  Runner r(cfg);
+  const std::vector<EpochPlan> script = replace_script();
+  EpochsResult res = r.run_epochs(script);
+  ASSERT_TRUE(res.all_decided);
+  const std::vector<Event> events = r.log().events();
+  for (std::size_t e = 0; e < script.size(); ++e) {
+    const EpochConfig& config = script[e].config;
+    for (const auto& [inst, inputs] : script[e].instances) {
+      for (const auto& [g, value] : res.epochs[e].decisions.at(inst)) {
+        bool logged = false;
+        for (const Event& ev : events) {
+          logged = logged || (ev.kind == EventKind::kAbaDecide &&
+                              ev.who == config.rank_of(g) &&
+                              ev.sid.instance == inst && ev.value == value);
+        }
+        EXPECT_TRUE(logged) << "epoch " << e << " member " << g
+                            << " instance " << inst;
+      }
+    }
+  }
+}
+
+TEST(EpochSim, EpochDecisionsReachRunnerLog) {
+  expect_epoch_decisions_logged(TransportKind::kSim);
+}
+
+TEST(EpochLoopback, EpochDecisionsReachRunnerLog) {
+  expect_epoch_decisions_logged(TransportKind::kSocketLoopback);
+}
+
 }  // namespace
 }  // namespace svss

@@ -101,7 +101,7 @@ struct MwUnit : public ::testing::Test {
 
 // --- S' step 1: the dealer's message layout ----------------------------
 TEST_F(MwUnit, DealerDistributesConsistentShares) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   MwSvssSession dealer(host, sid(), /*self=*/0, kN, kT);
   dealer.deal(ctx, Fp(12345));
 
@@ -142,7 +142,7 @@ TEST_F(MwUnit, DealerDistributesConsistentShares) {
 }
 
 TEST_F(MwUnit, OnlyTheDealerCanDeal) {
-  Context ctx(engine, 2);
+  Context ctx = engine.host(2).ctx();
   MwSvssSession session(host, sid(), /*self=*/2, kN, kT);
   session.deal(ctx, Fp(1));
   EXPECT_TRUE(host.directs.empty());
@@ -151,7 +151,7 @@ TEST_F(MwUnit, OnlyTheDealerCanDeal) {
 
 // --- S' step 2: echo requires both dealer messages ----------------------
 TEST_F(MwUnit, EchoOnlyAfterSharesAndPolynomial) {
-  Context ctx(engine, 2);
+  Context ctx = engine.host(2).ctx();
   MwSvssSession session(host, sid(), /*self=*/2, kN, kT);
   session.on_direct(ctx, 0, msg(MsgType::kMwDealerShares,
                                 {Fp(1), Fp(2), Fp(3), Fp(4)}));
@@ -170,7 +170,7 @@ TEST_F(MwUnit, EchoOnlyAfterSharesAndPolynomial) {
 }
 
 TEST_F(MwUnit, MalformedDealerMessagesIgnored) {
-  Context ctx(engine, 2);
+  Context ctx = engine.host(2).ctx();
   MwSvssSession session(host, sid(), /*self=*/2, kN, kT);
   // Wrong vector sizes.
   session.on_direct(ctx, 0, msg(MsgType::kMwDealerShares, {Fp(1)}));
@@ -206,7 +206,7 @@ struct MwMonitorFixture : public MwUnit {
 };
 
 TEST_F(MwMonitorFixture, LBroadcastAfterEnoughConfirmations) {
-  Context ctx(engine, 2);
+  Context ctx = engine.host(2).ctx();
   MwSvssSession session(host, sid(), /*self=*/2, kN, kT);
   feed_dealer_and_confirmers(ctx, session);
   auto lsets = host.broadcasts_of(MsgType::kMwLset);
@@ -225,7 +225,7 @@ TEST_F(MwMonitorFixture, LBroadcastAfterEnoughConfirmations) {
 }
 
 TEST_F(MwMonitorFixture, WrongEchoValueNeverConfirms) {
-  Context ctx(engine, 2);
+  Context ctx = engine.host(2).ctx();
   MwSvssSession session(host, sid(), /*self=*/2, kN, kT);
   session.on_direct(ctx, 0, msg(MsgType::kMwDealerPoly, {Fp(11), Fp(22)}));
   std::vector<std::pair<Fp, Fp>> pts{{Fp(1), Fp(11)}, {Fp(2), Fp(22)}};
@@ -244,7 +244,7 @@ TEST_F(MwMonitorFixture, WrongEchoValueNeverConfirms) {
 }
 
 TEST_F(MwMonitorFixture, EchoWithoutAckDoesNotConfirm) {
-  Context ctx(engine, 2);
+  Context ctx = engine.host(2).ctx();
   MwSvssSession session(host, sid(), /*self=*/2, kN, kT);
   session.on_direct(ctx, 0, msg(MsgType::kMwDealerPoly, {Fp(11), Fp(22)}));
   std::vector<std::pair<Fp, Fp>> pts{{Fp(1), Fp(11)}, {Fp(2), Fp(22)}};
@@ -261,7 +261,7 @@ TEST_F(MwMonitorFixture, EchoWithoutAckDoesNotConfirm) {
 
 // --- validation of set broadcasts ---------------------------------------
 TEST_F(MwUnit, UndersizedOrInvalidSetsRejected) {
-  Context ctx(engine, 2);
+  Context ctx = engine.host(2).ctx();
   MwSvssSession session(host, sid(), /*self=*/2, kN, kT);
   // L set too small.
   session.on_broadcast(ctx, 3, msg(MsgType::kMwLset, {}, {0, 1}));
@@ -279,7 +279,7 @@ TEST_F(MwUnit, UndersizedOrInvalidSetsRejected) {
 
 // --- S' step 8: dropping DEAL expectations when outside M-hat ------------
 TEST_F(MwMonitorFixture, OutsideMhatClearsDealExpectations) {
-  Context ctx(engine, 2);
+  Context ctx = engine.host(2).ctx();
   MwSvssSession session(host, sid(), /*self=*/2, kN, kT);
   feed_dealer_and_confirmers(ctx, session);
   ASSERT_EQ(host.dmm().pending_expectations(0), 1u);
@@ -291,7 +291,7 @@ TEST_F(MwMonitorFixture, OutsideMhatClearsDealExpectations) {
 
 // --- moderator steps 5-6 -------------------------------------------------
 TEST_F(MwUnit, ModeratorRejectsDealerWithWrongSecret) {
-  Context ctx(engine, 1);
+  Context ctx = engine.host(1).ctx();
   MwSvssSession session(host, sid(), /*self=*/1, kN, kT);
   session.set_moderator_input(ctx, Fp(999));
   // Dealer's f has f(0) = 123 != 999: interpolates (1,124),(2,125).
@@ -306,7 +306,7 @@ TEST_F(MwUnit, ModeratorRejectsDealerWithWrongSecret) {
 }
 
 TEST_F(MwUnit, ModeratorAcceptsConsistentMonitors) {
-  Context ctx(engine, 1);
+  Context ctx = engine.host(1).ctx();
   MwSvssSession session(host, sid(), /*self=*/1, kN, kT);
   // f interpolating (1,11),(2,22) => f(0) = 0; moderator input matches.
   std::vector<std::pair<Fp, Fp>> pts{{Fp(1), Fp(11)}, {Fp(2), Fp(22)}};
@@ -325,7 +325,7 @@ TEST_F(MwUnit, ModeratorAcceptsConsistentMonitors) {
 }
 
 TEST_F(MwUnit, ModeratorRejectsMonitorValueMismatch) {
-  Context ctx(engine, 1);
+  Context ctx = engine.host(1).ctx();
   MwSvssSession session(host, sid(), /*self=*/1, kN, kT);
   std::vector<std::pair<Fp, Fp>> pts{{Fp(1), Fp(11)}, {Fp(2), Fp(22)}};
   Polynomial f = Polynomial::interpolate(pts);
@@ -344,7 +344,7 @@ TEST_F(MwUnit, ModeratorRejectsMonitorValueMismatch) {
 
 // --- step 9 completion requires the full transcript ----------------------
 TEST_F(MwUnit, CompletionNeedsOkMsetLsetsAndAcks) {
-  Context ctx(engine, 3);
+  Context ctx = engine.host(3).ctx();
   MwSvssSession session(host, sid(), /*self=*/3, kN, kT);
   session.on_broadcast(ctx, 1, msg(MsgType::kMwMset, {}, {0, 1, 2}));
   EXPECT_FALSE(session.share_complete());
@@ -365,7 +365,7 @@ TEST_F(MwUnit, CompletionNeedsOkMsetLsetsAndAcks) {
 TEST_F(MwUnit, ReconstructOutputsSecretFromConsistentValues) {
   // Observer 3 completed the share phase with M-hat = {0,1,2}; all recon
   // values are consistent with a line f, so the output is f(0).
-  Context ctx(engine, 3);
+  Context ctx = engine.host(3).ctx();
   MwSvssSession session(host, sid(), /*self=*/3, kN, kT);
   // Underlying f with f(0) = 500: f(x) = 500 + x.
   Polynomial f(FieldVec{Fp(500), Fp(1)});
@@ -395,7 +395,7 @@ TEST_F(MwUnit, ReconstructOutputsSecretFromConsistentValues) {
 }
 
 TEST_F(MwUnit, ReconstructOutputsBottomOnInconsistentMonitors) {
-  Context ctx(engine, 3);
+  Context ctx = engine.host(3).ctx();
   MwSvssSession session(host, sid(), /*self=*/3, kN, kT);
   session.on_broadcast(ctx, 1, msg(MsgType::kMwMset, {}, {0, 1, 2}));
   session.on_broadcast(ctx, 0, msg(MsgType::kMwOk));
@@ -420,7 +420,7 @@ TEST_F(MwUnit, ReconstructOutputsBottomOnInconsistentMonitors) {
 }
 
 TEST_F(MwUnit, ReconValuesFromOutsideLhatIgnored) {
-  Context ctx(engine, 3);
+  Context ctx = engine.host(3).ctx();
   MwSvssSession session(host, sid(), /*self=*/3, kN, kT);
   session.on_broadcast(ctx, 1, msg(MsgType::kMwMset, {}, {0, 1, 2}));
   session.on_broadcast(ctx, 0, msg(MsgType::kMwOk));
@@ -438,7 +438,7 @@ TEST_F(MwUnit, ReconValuesFromOutsideLhatIgnored) {
 }
 
 TEST_F(MwUnit, CompactKeepsOutputs) {
-  Context ctx(engine, 3);
+  Context ctx = engine.host(3).ctx();
   MwSvssSession session(host, sid(), /*self=*/3, kN, kT);
   session.on_broadcast(ctx, 1, msg(MsgType::kMwMset, {}, {0, 1, 2}));
   session.on_broadcast(ctx, 0, msg(MsgType::kMwOk));

@@ -34,6 +34,14 @@ TEST(Rng, SplitStreamsAreIndependentOfParentUse) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(child1.next_u64(), child2.next_u64());
 }
 
+TEST(Rng, DiscardSkipsExactlyThatManyOutputs) {
+  Rng drawn(11);
+  Rng skipped(11);
+  for (int i = 0; i < 5; ++i) (void)drawn.next_u64();
+  skipped.discard(5);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(drawn.next_u64(), skipped.next_u64());
+}
+
 TEST(Rng, SiblingSplitsDiffer) {
   Rng parent(9);
   // Note split advances the parent; recreate for each salt.

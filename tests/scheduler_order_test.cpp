@@ -121,9 +121,9 @@ TEST(SchedulerOrder, MaxLagBoundsStarvationForEveryKind) {
     // schedulers would starve it forever without the age cap.
     Message marker;
     marker.a = 42;
-    Context ctx0(e, 0);
+    Context ctx0 = e.host(0).ctx();
     ctx0.send(3, make_direct(marker));
-    Context ctx1(e, 1);
+    Context ctx1 = e.host(1).ctx();
     Message m;
     ctx1.send(2, make_direct(m));
     auto status = e.run_until([&] { return !got.empty(); }, 10'000);
@@ -197,9 +197,9 @@ TEST(SchedulerOrder, HostilePrioritiesCannotBeatAgeCap) {
     e.set_process(3, std::make_unique<Recorder>(&got));
     Message marker;
     marker.a = 42;
-    Context ctx0(e, 0);
+    Context ctx0 = e.host(0).ctx();
     ctx0.send(3, make_direct(marker));
-    Context ctx1(e, 1);
+    Context ctx1 = e.host(1).ctx();
     Message m;
     ctx1.send(2, make_direct(m));
     auto status = e.run_until([&] { return !got.empty(); }, 10'000);
@@ -235,9 +235,9 @@ TEST(SchedulerOrder, TargetedDelayCapRegimeBound) {
   e.set_process(3, std::make_unique<Recorder>(&got));
   Message marker;
   marker.a = 7;
-  Context ctx0(e, 0);
+  Context ctx0 = e.host(0).ctx();
   ctx0.send(3, make_direct(marker));
-  Context ctx1(e, 1);
+  Context ctx1 = e.host(1).ctx();
   Message m;
   ctx1.send(2, make_direct(m));
   auto status = e.run_until([&] { return !got.empty(); }, 10'000);
@@ -263,9 +263,9 @@ TEST(SchedulerOrder, TargetedDelayPriorityRegimeBound) {
   e.set_process(3, std::make_unique<Recorder>(&got));
   Message marker;
   marker.a = 7;
-  Context ctx0(e, 0);
+  Context ctx0 = e.host(0).ctx();
   ctx0.send(3, make_direct(marker));
-  Context ctx1(e, 1);
+  Context ctx1 = e.host(1).ctx();
   Message m;
   ctx1.send(2, make_direct(m));
   auto status = e.run_until([&] { return !got.empty(); }, 100'000);

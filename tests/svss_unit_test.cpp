@@ -156,7 +156,7 @@ struct SvssUnit : public ::testing::Test {
 };
 
 TEST_F(SvssUnit, DealerSendsSlicesToEveryone) {
-  Context ctx(engine, 0);
+  Context ctx = engine.host(0).ctx();
   SvssSession dealer(host, sid(), /*self=*/0, kN, kT);
   dealer.deal(ctx, Fp(777));
   auto slices = host.directs;
@@ -169,7 +169,7 @@ TEST_F(SvssUnit, DealerSendsSlicesToEveryone) {
 }
 
 TEST_F(SvssUnit, SlicesSpawnFourChildRolesPerCounterpart) {
-  Context ctx(engine, 2);
+  Context ctx = engine.host(2).ctx();
   host.self = 2;
   SvssSession s(host, sid(), /*self=*/2, kN, kT);
   Rng rng(1);
@@ -186,7 +186,7 @@ TEST_F(SvssUnit, SlicesSpawnFourChildRolesPerCounterpart) {
 }
 
 TEST_F(SvssUnit, MalformedGsetsRejected) {
-  Context ctx(engine, 2);
+  Context ctx = engine.host(2).ctx();
   SvssSession s(host, sid(), /*self=*/2, kN, kT);
   // Not from the dealer.
   {
@@ -223,7 +223,7 @@ TEST_F(SvssUnit, MalformedGsetsRejected) {
 }
 
 TEST_F(SvssUnit, ShareCompletesWithGsetAndChildren) {
-  Context ctx(engine, 2);
+  Context ctx = engine.host(2).ctx();
   SvssSession s(host, sid(), /*self=*/2, kN, kT);
   std::vector<int> g{0, 1, 2};
   s.on_broadcast(ctx, 0, gset_msg(g));
@@ -234,7 +234,7 @@ TEST_F(SvssUnit, ShareCompletesWithGsetAndChildren) {
 }
 
 TEST_F(SvssUnit, ReconstructRecoversSecretFromChildOutputs) {
-  Context ctx(engine, 2);
+  Context ctx = engine.host(2).ctx();
   SvssSession s(host, sid(), /*self=*/2, kN, kT);
   Rng rng(2);
   auto f = BivariatePolynomial::random_with_secret(Fp(424242), kT, rng);
@@ -251,7 +251,7 @@ TEST_F(SvssUnit, ReconstructRecoversSecretFromChildOutputs) {
 // A process whose dealings reconstruct to bottom lands in I_j; with t+1
 // surviving processes the secret still comes out.
 TEST_F(SvssUnit, BottomDealingsAreIgnoredNotFatal) {
-  Context ctx(engine, 2);
+  Context ctx = engine.host(2).ctx();
   SvssSession s(host, sid(), /*self=*/2, kN, kT);
   Rng rng(3);
   auto f = BivariatePolynomial::random_with_secret(Fp(31337), kT, rng);
@@ -282,7 +282,7 @@ TEST_F(SvssUnit, BottomDealingsAreIgnoredNotFatal) {
 // Cross-inconsistent (non-bottom) dealings that evade the per-process
 // degree check force the bottom output (paper R step 3).
 TEST_F(SvssUnit, CrossInconsistencyForcesBottom) {
-  Context ctx(engine, 2);
+  Context ctx = engine.host(2).ctx();
   SvssSession s(host, sid(), /*self=*/2, kN, kT);
   Rng rng(4);
   auto f = BivariatePolynomial::random_with_secret(Fp(5), kT, rng);
@@ -308,7 +308,7 @@ TEST_F(SvssUnit, CrossInconsistencyForcesBottom) {
 }
 
 TEST_F(SvssUnit, OutputWaitsForAllChildren) {
-  Context ctx(engine, 2);
+  Context ctx = engine.host(2).ctx();
   SvssSession s(host, sid(), /*self=*/2, kN, kT);
   Rng rng(5);
   auto f = BivariatePolynomial::random_with_secret(Fp(1), kT, rng);
