@@ -10,6 +10,9 @@
 namespace svss::bench {
 namespace {
 
+// Iteration k runs seed base + k, so every registration pins its iteration
+// count: the averaged counters then depend on the code alone, not on how
+// many iterations Google Benchmark would pick on the machine.
 void BM_MwSvssFull(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   Metrics total;
@@ -23,7 +26,8 @@ void BM_MwSvssFull(benchmark::State& state) {
   }
   report_metrics(state, total, static_cast<double>(runs));
 }
-BENCHMARK(BM_MwSvssFull)->Arg(4)->Arg(7)->Arg(10)->Arg(13)->Arg(16);
+BENCHMARK(BM_MwSvssFull)->Arg(4)->Arg(7)->Arg(10)->Arg(13)->Arg(16)
+    ->Iterations(5);
 
 void BM_MwSvssShareOnly(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
@@ -38,7 +42,8 @@ void BM_MwSvssShareOnly(benchmark::State& state) {
   }
   report_metrics(state, total, static_cast<double>(runs));
 }
-BENCHMARK(BM_MwSvssShareOnly)->Arg(4)->Arg(7)->Arg(10)->Arg(13)->Arg(16);
+BENCHMARK(BM_MwSvssShareOnly)->Arg(4)->Arg(7)->Arg(10)->Arg(13)->Arg(16)
+    ->Iterations(5);
 
 // Faulty confirmer corrupting its reconstruct broadcasts: the protocol
 // still terminates with polynomial cost; detections happen.
@@ -60,7 +65,8 @@ void BM_MwSvssWrongRecon(benchmark::State& state) {
   state.counters["shun_pairs"] = benchmark::Counter(
       shuns / static_cast<double>(runs));
 }
-BENCHMARK(BM_MwSvssWrongRecon)->Arg(4)->Arg(7)->Arg(10)->Arg(13);
+BENCHMARK(BM_MwSvssWrongRecon)->Arg(4)->Arg(7)->Arg(10)->Arg(13)
+    ->Iterations(5);
 
 // Hostile scheduling: the last-honest-delayed schedule must not change the
 // asymptotics, only constants.
@@ -77,7 +83,8 @@ void BM_MwSvssHostileSchedule(benchmark::State& state) {
   }
   report_metrics(state, total, static_cast<double>(runs));
 }
-BENCHMARK(BM_MwSvssHostileSchedule)->Arg(4)->Arg(7)->Arg(10);
+BENCHMARK(BM_MwSvssHostileSchedule)->Arg(4)->Arg(7)->Arg(10)
+    ->Iterations(5);
 
 }  // namespace
 }  // namespace svss::bench

@@ -31,6 +31,9 @@ class RbBroadcaster : public IProcess {
   Rbc rbc_;
 };
 
+// Iteration k runs seed base + k, so every registration pins its iteration
+// count: the averaged counters then depend on the code alone, not on how
+// many iterations Google Benchmark would pick on the machine.
 void BM_RbBroadcast(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   int t = (n - 1) / 3;
@@ -47,7 +50,8 @@ void BM_RbBroadcast(benchmark::State& state) {
   }
   report_metrics(state, total, static_cast<double>(runs));
 }
-BENCHMARK(BM_RbBroadcast)->Arg(4)->Arg(7)->Arg(10)->Arg(13)->Arg(16)->Arg(25);
+BENCHMARK(BM_RbBroadcast)->Arg(4)->Arg(7)->Arg(10)->Arg(13)->Arg(16)->Arg(25)
+    ->Iterations(5);
 
 // All-to-all concurrent broadcasts: n instances => Theta(n^3) packets.
 void BM_RbAllToAll(benchmark::State& state) {
@@ -66,7 +70,8 @@ void BM_RbAllToAll(benchmark::State& state) {
   }
   report_metrics(state, total, static_cast<double>(runs));
 }
-BENCHMARK(BM_RbAllToAll)->Arg(4)->Arg(7)->Arg(10)->Arg(13)->Arg(16);
+BENCHMARK(BM_RbAllToAll)->Arg(4)->Arg(7)->Arg(10)->Arg(13)->Arg(16)
+    ->Iterations(5);
 
 }  // namespace
 }  // namespace svss::bench

@@ -9,6 +9,9 @@
 namespace svss::bench {
 namespace {
 
+// Iteration k runs seed base + k, so every registration pins its iteration
+// count: the averaged counters then depend on the code alone, not on how
+// many iterations Google Benchmark would pick on the machine.
 void BM_SvssFull(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   Metrics total;
@@ -22,7 +25,8 @@ void BM_SvssFull(benchmark::State& state) {
   }
   report_metrics(state, total, static_cast<double>(runs));
 }
-BENCHMARK(BM_SvssFull)->Arg(4)->Arg(7)->Arg(10)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SvssFull)->Arg(4)->Arg(7)->Arg(10)->Unit(benchmark::kMillisecond)
+    ->Iterations(5);
 
 void BM_SvssShareOnly(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
@@ -38,7 +42,7 @@ void BM_SvssShareOnly(benchmark::State& state) {
   report_metrics(state, total, static_cast<double>(runs));
 }
 BENCHMARK(BM_SvssShareOnly)->Arg(4)->Arg(7)->Arg(10)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Iterations(5);
 
 // Adversarial dealer: equivocating shares.  Reports how often the session
 // still bound vs. how many shun pairs were created (binding-or-shun).
@@ -70,7 +74,7 @@ void BM_SvssEquivocatingDealer(benchmark::State& state) {
       benchmark::Counter(bound_runs / static_cast<double>(runs));
 }
 BENCHMARK(BM_SvssEquivocatingDealer)->Arg(4)->Arg(7)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Iterations(5);
 
 }  // namespace
 }  // namespace svss::bench

@@ -87,7 +87,6 @@ class SecureSumSession {
   }
 
  private:
-  void maybe_join_acs(Context& ctx);
   void maybe_broadcast_point(Context& ctx);
 
   SecureSumHost& host_;

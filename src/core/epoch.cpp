@@ -82,10 +82,6 @@ void EpochTransport::send(int to, Packet p) {
   inner_.send(cfg_.global_of(to), std::move(p));
 }
 
-void EpochTransport::broadcast(const Packet& p) {
-  for (int to = 0; to < cfg_.n(); ++to) send(to, p);
-}
-
 void EpochTransport::install(EpochConfig next) {
   cfg_ = std::move(next);
   rank_ = cfg_.rank_of(inner_.self());

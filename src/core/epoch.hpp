@@ -95,7 +95,6 @@ class EpochTransport final : public ITransport {
 
   // --- ITransport (rank space of the current epoch) ---
   void send(int to, Packet p) override;
-  void broadcast(const Packet& p) override;
   void set_delivery(Delivery sink) override { sink_ = std::move(sink); }
   void set_send_hook(SendHook hook) override { hook_ = std::move(hook); }
   [[nodiscard]] int self() const override { return rank_; }

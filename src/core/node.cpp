@@ -375,7 +375,6 @@ void Node::mw_share_completed(Context& ctx, const SessionId& sid) {
   if (auto parent = parent_session(sid)) {
     svss(ctx, *parent).on_child_share_complete(ctx, sid);
   }
-  if (observers.mw_share_complete) observers.mw_share_complete(ctx, sid);
 }
 
 void Node::mw_recon_output(Context& ctx, const SessionId& sid,
@@ -383,7 +382,6 @@ void Node::mw_recon_output(Context& ctx, const SessionId& sid,
   if (auto parent = parent_session(sid)) {
     svss(ctx, *parent).on_child_output(ctx, sid, value);
   }
-  if (observers.mw_output) observers.mw_output(ctx, sid, value);
   if (auto* slot = mw_.find(sid); slot != nullptr && *slot) {
     (*slot)->compact();
   }
@@ -398,7 +396,6 @@ void Node::svss_share_completed(Context& ctx, const SessionId& sid) {
       sid.counter >= kSumCounterBase) {
     sum_->on_input_share_complete(ctx, sid);
   }
-  if (observers.svss_share_complete) observers.svss_share_complete(ctx, sid);
 }
 
 void Node::svss_recon_output(Context& ctx, const SessionId& sid,
@@ -407,16 +404,12 @@ void Node::svss_recon_output(Context& ctx, const SessionId& sid,
     coin(ctx, sid.instance, sid.counter / kMaxN).on_child_output(ctx, sid,
                                                                  value);
   }
-  if (observers.svss_output) observers.svss_output(ctx, sid, value);
 }
 
 void Node::coin_output(Context& ctx, std::uint32_t instance,
                        std::uint32_t round, int bit) {
   auto it = abas_.find(instance);
   if (it != abas_.end()) it->second->on_coin(ctx, round, bit);
-  if (instance == 0 && observers.coin_output) {
-    observers.coin_output(ctx, round, bit);
-  }
 }
 
 void Node::start_coin(Context& ctx, std::uint32_t instance,

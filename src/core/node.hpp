@@ -45,14 +45,6 @@ namespace svss {
 // Optional callbacks for harnesses (tests, benchmarks, examples) observing
 // protocol-level events at this node.
 struct NodeObservers {
-  std::function<void(Context&, const SessionId&)> mw_share_complete;
-  std::function<void(Context&, const SessionId&, std::optional<Fp>)>
-      mw_output;
-  std::function<void(Context&, const SessionId&)> svss_share_complete;
-  std::function<void(Context&, const SessionId&, std::optional<Fp>)>
-      svss_output;
-  // Coin outputs of agreement instance 0 / standalone coin rounds.
-  std::function<void(Context&, std::uint32_t, int)> coin_output;
   // Fires for every agreement instance: (value, round, instance).  The
   // daemon recovery layer journals decisions through this.
   std::function<void(Context&, int, std::uint32_t, std::uint32_t)>

@@ -34,6 +34,27 @@ std::optional<DecisionRecord> read_record(Reader& r) {
   return rec;
 }
 
+// The decision-record list of checkpoints and catch-up blobs: a u32 count,
+// then the records.  read_records rejects a count past kMaxRecords and a
+// short record.
+void write_records(Writer& w, const std::vector<DecisionRecord>& records) {
+  w.u32(static_cast<std::uint32_t>(records.size()));
+  for (const DecisionRecord& r : records) write_record(w, r);
+}
+
+std::optional<std::vector<DecisionRecord>> read_records(Reader& r) {
+  auto count = r.u32();
+  if (!count || *count > kMaxRecords) return std::nullopt;
+  std::vector<DecisionRecord> out;
+  out.reserve(*count);
+  for (std::uint32_t i = 0; i < *count; ++i) {
+    auto rec = read_record(r);
+    if (!rec) return std::nullopt;
+    out.push_back(*rec);
+  }
+  return out;
+}
+
 bool write_all_and_sync(const std::string& path, const Bytes& payload) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return false;
@@ -74,8 +95,7 @@ bool save_checkpoint(const std::string& path, const CheckpointData& data) {
   w.u32(data.epoch);
   data.config.serialize(w);
   w.u64(data.seed);
-  w.u32(static_cast<std::uint32_t>(data.decisions.size()));
-  for (const DecisionRecord& r : data.decisions) write_record(w, r);
+  write_records(w, data.decisions);
 
   const std::string tmp = path + ".tmp";
   if (!write_all_and_sync(tmp, w.data())) {
@@ -102,22 +122,11 @@ std::optional<CheckpointData> load_checkpoint(const std::string& path) {
   auto epoch = r.u32();
   auto config = EpochConfig::deserialize(r);
   auto seed = r.u64();
-  auto count = r.u32();
-  if (!epoch || !config || !seed || !count || *count > kMaxRecords) {
-    return std::nullopt;
-  }
-  CheckpointData data;
-  data.epoch = *epoch;
-  data.config = std::move(*config);
-  data.seed = *seed;
-  data.decisions.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto rec = read_record(r);
-    if (!rec) return std::nullopt;
-    data.decisions.push_back(*rec);
-  }
-  if (!r.exhausted()) return std::nullopt;
-  return data;
+  if (!epoch || !config || !seed) return std::nullopt;
+  auto decisions = read_records(r);
+  if (!decisions || !r.exhausted()) return std::nullopt;
+  return CheckpointData{*epoch, std::move(*config), *seed,
+                        std::move(*decisions)};
 }
 
 // ----------------------------------------------------------------------
@@ -202,8 +211,7 @@ Bytes encode_catchup_state(std::uint32_t current_epoch,
   Writer w;
   w.u32(current_epoch);
   config.serialize(w);
-  w.u32(static_cast<std::uint32_t>(decisions.size()));
-  for (const DecisionRecord& r : decisions) write_record(w, r);
+  write_records(w, decisions);
   return std::move(w).take();
 }
 
@@ -211,21 +219,10 @@ std::optional<CatchupState> decode_catchup_state(const Bytes& blob) {
   Reader r(blob);
   auto epoch = r.u32();
   auto config = EpochConfig::deserialize(r);
-  auto count = r.u32();
-  if (!epoch || !config || !count || *count > kMaxRecords) {
-    return std::nullopt;
-  }
-  CatchupState st;
-  st.current_epoch = *epoch;
-  st.config = std::move(*config);
-  st.decisions.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto rec = read_record(r);
-    if (!rec) return std::nullopt;
-    st.decisions.push_back(*rec);
-  }
-  if (!r.exhausted()) return std::nullopt;
-  return st;
+  if (!epoch || !config) return std::nullopt;
+  auto decisions = read_records(r);
+  if (!decisions || !r.exhausted()) return std::nullopt;
+  return CatchupState{*epoch, std::move(*config), std::move(*decisions)};
 }
 
 }  // namespace svss

@@ -68,7 +68,6 @@ class DecisionJournal {
 
   // Opens `path` for appending (creating it if needed).
   bool open(const std::string& path);
-  [[nodiscard]] bool is_open() const { return f_ != nullptr; }
   // Appends one record and flushes it to disk before returning.
   bool append(const DecisionRecord& r);
   // Truncates the journal (call right after a successful checkpoint — the

@@ -6,47 +6,6 @@ namespace svss::net {
 
 namespace {
 
-// SessionId / BcastId codecs for the RB frame payload.  The sim backend
-// never serializes these (a Packet is a C++ struct in the arena); on the
-// wire they need explicit bytes.  Encoded with the same Writer/Reader
-// vocabulary as Message so the treat-garbage-as-absent rule carries over.
-void write_sid(Writer& w, const SessionId& sid) {
-  w.u8(static_cast<std::uint8_t>(sid.path));
-  w.u8(sid.variant);
-  w.i32(sid.owner);
-  w.i32(sid.moderator);
-  w.i32(sid.svss_dealer);
-  w.u32(sid.counter);
-  w.u32(sid.instance);
-  w.u32(sid.epoch);
-}
-
-std::optional<SessionId> read_sid(Reader& r) {
-  auto path = r.u8();
-  auto variant = r.u8();
-  auto owner = r.i32();
-  auto moderator = r.i32();
-  auto svss_dealer = r.i32();
-  auto counter = r.u32();
-  auto instance = r.u32();
-  auto epoch = r.u32();
-  if (!path || !variant || !owner || !moderator || !svss_dealer || !counter ||
-      !instance || !epoch) {
-    return std::nullopt;
-  }
-  if (*path > static_cast<std::uint8_t>(SessionPath::kTest)) return std::nullopt;
-  SessionId sid;
-  sid.path = static_cast<SessionPath>(*path);
-  sid.variant = *variant;
-  sid.owner = static_cast<std::int16_t>(*owner);
-  sid.moderator = static_cast<std::int16_t>(*moderator);
-  sid.svss_dealer = static_cast<std::int16_t>(*svss_dealer);
-  sid.counter = *counter;
-  sid.instance = *instance;
-  sid.epoch = *epoch;
-  return sid;
-}
-
 void append_frame(Bytes& out, FrameKind kind, const Bytes& payload) {
   std::uint32_t len = static_cast<std::uint32_t>(payload.size()) + 1;
   for (int i = 0; i < 4; ++i) {

@@ -11,11 +11,16 @@
 //             connection (each ordered pair of processes uses the dialing
 //             side's connection for its traffic).
 //   kDirect — payload = Message::serialize() of a direct application
-//             message: exactly the bytes the simulator meters.
-//   kRb     — payload = BcastId + RbPhase + the RB value bytes: one step
-//             of a reliable-broadcast instance.  Batched envelopes
-//             (kSvssBatch*, kMwBatch*) need no translation — they are
-//             ordinary Messages and ride inside kDirect/kRb unchanged.
+//             message.
+//   kRb     — payload = BcastId (its SessionId through the shared
+//             write_sid/read_sid of sim/message.hpp) + RbPhase + the RB
+//             value bytes: one step of a reliable-broadcast instance.
+//             Batched envelopes (kSvssBatch*, kMwBatch*) need no
+//             translation — they are ordinary Messages and ride inside
+//             kDirect/kRb unchanged.
+//
+// Frame bytes are not metered bytes: both backends count the
+// Packet::wire_size() model through Metrics::note_send.
 //
 // Error discipline, mirroring the Reader's treat-garbage-as-absent rule:
 //  * a frame whose *payload* fails to parse is dropped alone — the length

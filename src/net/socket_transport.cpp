@@ -170,42 +170,15 @@ int SocketTransport::peer_backoff_ms(int id) const {
 // Sending
 // ----------------------------------------------------------------------
 
-void SocketTransport::meter_send(const Packet& p) {
-  metrics_.packets_sent++;
-  std::size_t bytes = p.wire_size();
-  metrics_.bytes_sent += bytes;
-  metrics_.note_type(p.is_rb ? p.bid.slot : p.app.type, bytes);
-  if (p.is_rb) {
-    metrics_.rb_transport_packets++;
-  } else {
-    metrics_.direct_packets++;
-  }
-}
-
-void SocketTransport::queue_frame(int to, const Packet& p) {
-  meter_send(p);
+void SocketTransport::send(int to, Packet p) {
+  if (hook_ && !hook_(to, p)) return;
+  metrics_.note_send(p);
   if (to == self_) {
-    local_.push_back(p);
+    local_.push_back(std::move(p));
     return;
   }
   append_packet_frame(out_[static_cast<std::size_t>(to)].buf, p);
   trim_out(to);
-}
-
-void SocketTransport::send(int to, Packet p) {
-  if (hook_ && !hook_(to, p)) return;
-  queue_frame(to, p);
-}
-
-void SocketTransport::broadcast(const Packet& p) {
-  for (int to = 0; to < cfg_.n(); ++to) {
-    // Per-recipient hook on a per-recipient copy: equivocation through the
-    // seam mutates one leg without touching the others, exactly like the
-    // sim engine's endpoints.
-    Packet copy = p;
-    if (hook_ && !hook_(to, copy)) continue;
-    queue_frame(to, copy);
-  }
 }
 
 // ----------------------------------------------------------------------

@@ -20,10 +20,11 @@
 // local queue drained by the poll loop, so a delivery cascade cannot
 // recurse.
 //
-// Metering matches the sim engine byte-for-byte where it can: every sent
-// packet is counted at Packet::wire_size() with per-type attribution
-// (frame overhead is excluded on purpose — the equivalence tests compare
-// these counters against a sim run of the same protocol).
+// Metering is the sim engine's: every packet the send hook lets through
+// goes to the shared Metrics::note_send, which counts the
+// Packet::wire_size() model, not the frame bytes (the equivalence tests
+// compare these counters against a sim run of the same protocol).
+// broadcast is ITransport's send loop.
 #pragma once
 
 #include <chrono>
@@ -61,7 +62,6 @@ class SocketTransport final : public ITransport {
 
   // --- ITransport ---
   void send(int to, Packet p) override;
-  void broadcast(const Packet& p) override;
   void set_delivery(Delivery sink) override { sink_ = std::move(sink); }
   void set_send_hook(SendHook hook) override { hook_ = std::move(hook); }
   [[nodiscard]] int self() const override { return self_; }
@@ -146,8 +146,6 @@ class SocketTransport final : public ITransport {
     FrameDecoder decoder;
   };
 
-  void queue_frame(int to, const Packet& p);
-  void meter_send(const Packet& p);
   void start_connect(int peer);
   void update_out_events(int peer, bool want_write);
   void finish_connect(int peer);

@@ -28,8 +28,9 @@
 // the same host and send hook, but the Runner hosts them on the sim only.
 //
 // This header sits *below* both backends: it depends only on the wire
-// message model (sim/message.hpp), carries no out-of-line code, and is the
-// only thing a new backend must implement.
+// message model (sim/message.hpp) and carries no out-of-line code.  A new
+// backend implements send, the two setters and self/n; broadcast comes
+// with the seam.
 #pragma once
 
 #include <cstdint>
@@ -59,9 +60,13 @@ class ITransport {
   // Submits a packet to process `to` over the private channel self -> to.
   // Sending to self is allowed and is delivered like any other packet.
   virtual void send(int to, Packet p) = 0;
-  // Convenience: one copy to every process, self included — the same
-  // semantics Context::send_all always had.
-  virtual void broadcast(const Packet& p) = 0;
+  // One copy to every process, self included, each through send(): every
+  // recipient's copy runs the send hook on its own, so equivocation
+  // mutates one leg only.  Every backend uses this body; it stays virtual
+  // for decorators that observe whole broadcasts.
+  virtual void broadcast(const Packet& p) {
+    for (int to = 0; to < n(); ++to) send(to, p);
+  }
 
   virtual void set_delivery(Delivery sink) = 0;
   virtual void set_send_hook(SendHook hook) = 0;

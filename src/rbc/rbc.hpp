@@ -50,11 +50,6 @@ class Rbc {
   // echo/ready sends and, on acceptance, the deliver callback.
   void on_transport(Context& ctx, int from, const Packet& p);
 
-  // Number of instances this process has participated in (for tests).
-  [[nodiscard]] std::size_t instance_count() const {
-    return instances_.size();
-  }
-
  private:
   // Distinct senders of one value, as a fixed-width bitset (no per-sender
   // allocation).  Width is derived from kMaxN — the same bound

@@ -16,18 +16,6 @@ std::vector<std::pair<int, int>> EventLog::shun_pairs() const {
   return out;
 }
 
-std::vector<std::pair<int, std::optional<std::int64_t>>>
-EventLog::recon_outputs(EventKind kind, const SessionId& sid) const {
-  std::vector<std::pair<int, std::optional<std::int64_t>>> out;
-  for (const Event& e : events_) {
-    if (e.kind != kind || !(e.sid == sid)) continue;
-    out.emplace_back(e.who, e.has_value
-                                ? std::optional<std::int64_t>(e.value)
-                                : std::nullopt);
-  }
-  return out;
-}
-
 Rng slot_rng(std::uint64_t seed, int self) {
   Rng root(seed);
   root.discard(static_cast<std::uint64_t>(self));  // splits 0 .. self-1
@@ -56,10 +44,6 @@ class Engine::SimPort final : public ITransport {
   void send(int to, Packet p) override {
     if (hook_ && !hook_(to, p)) return;
     eng_->enqueue(id_, to, std::move(p));
-  }
-  // Per recipient: copy, hook, enqueue.
-  void broadcast(const Packet& p) override {
-    for (int to = 0; to < eng_->n(); ++to) send(to, p);
   }
   void set_delivery(Delivery sink) override { sink_ = std::move(sink); }
   void set_send_hook(SendHook hook) override { hook_ = std::move(hook); }
@@ -199,16 +183,7 @@ void Engine::enqueue(int from, int to, Packet&& p) {
   const std::uint64_t priority =
       sched_->priority(PendingInfo{seq, from, to, pending.pkt.is_rb});
 
-  metrics_.packets_sent++;
-  std::size_t bytes = pending.pkt.wire_size();
-  metrics_.bytes_sent += bytes;
-  metrics_.note_type(
-      pending.pkt.is_rb ? pending.pkt.bid.slot : pending.pkt.app.type, bytes);
-  if (pending.pkt.is_rb) {
-    metrics_.rb_transport_packets++;
-  } else {
-    metrics_.direct_packets++;
-  }
+  metrics_.note_send(pending.pkt);
 
   ++in_flight_;
   heap_push(HeapEntry{priority, seq, slot});

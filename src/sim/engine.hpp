@@ -41,7 +41,6 @@ enum class EventKind : std::uint8_t {
   kSvssReconOutput,
   kCoinOutput,       // who output bit `value` in coin round sid.counter
   kAbaDecide,        // who decided `value`; other = round
-  kCustom,
 };
 
 struct Event {
@@ -60,9 +59,6 @@ class EventLog {
 
   // All (i, j) pairs such that i started shunning j at some point.
   [[nodiscard]] std::vector<std::pair<int, int>> shun_pairs() const;
-  // Reconstruct outputs of `kind` for session `sid`, indexed by process.
-  [[nodiscard]] std::vector<std::pair<int, std::optional<std::int64_t>>>
-  recon_outputs(EventKind kind, const SessionId& sid) const;
 
  private:
   std::vector<Event> events_;

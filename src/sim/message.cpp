@@ -37,8 +37,6 @@ std::optional<SessionId> parent_session(const SessionId& sid) {
   }
 }
 
-namespace {
-
 void write_sid(Writer& w, const SessionId& s) {
   w.u8(static_cast<std::uint8_t>(s.path));
   w.u8(s.variant);
@@ -75,8 +73,6 @@ std::optional<SessionId> read_sid(Reader& r) {
   s.epoch = *epoch;
   return s;
 }
-
-}  // namespace
 
 Bytes Message::serialize() const {
   Writer w;

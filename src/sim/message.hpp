@@ -73,6 +73,12 @@ struct SessionId {
 // The enclosing session, or nullopt for top-level sessions.
 std::optional<SessionId> parent_session(const SessionId& sid);
 
+// The one SessionId byte layout (26 bytes), shared by Message::serialize
+// and the socket backend's kRb frames (net/frame.hpp).  read_sid returns
+// nullopt on a short read or a path byte beyond kTest.
+void write_sid(Writer& w, const SessionId& sid);
+std::optional<SessionId> read_sid(Reader& r);
+
 // Message types across all layers.  One flat enum keeps serialization and
 // logging trivial; each protocol only consumes its own values.  The values
 // are wire format, and the batching layer's codecs (src/batch/codec.hpp)

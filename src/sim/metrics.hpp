@@ -34,10 +34,9 @@ struct Metrics {
   std::uint64_t out_dropped_frames = 0;
   std::uint64_t out_dropped_bytes = 0;
 
-  // Per-message-type attribution of serialization cost: every packet the
-  // engine meters is binned by the application MsgType it carries (RB
-  // transport packets count under the slot they broadcast).  `bytes_sent`
-  // is exactly what Message::serialize produces, so these counters say
+  // Per-message-type attribution of serialization cost: every metered
+  // packet is binned by the application MsgType it carries (RB transport
+  // packets count under the slot they broadcast), so these counters say
   // where serialize time goes at scale (ROADMAP: n = 64 sweeps are
   // serialization-bound).  Indexed by the MsgType enum value.
   static constexpr std::size_t kTypeSlots = 64;
@@ -49,6 +48,21 @@ struct Metrics {
     if (slot < kTypeSlots) {
       packets_by_type[slot]++;
       bytes_by_type[slot] += bytes;
+    }
+  }
+
+  // The one send meter, shared by both backends: counts a packet its
+  // endpoint's send hook let through at Packet::wire_size(), the modelled
+  // envelope over Message::serialized_size(), not the TCP frame bytes.
+  void note_send(const Packet& p) {
+    packets_sent++;
+    const std::size_t bytes = p.wire_size();
+    bytes_sent += bytes;
+    note_type(p.is_rb ? p.bid.slot : p.app.type, bytes);
+    if (p.is_rb) {
+      rb_transport_packets++;
+    } else {
+      direct_packets++;
     }
   }
 

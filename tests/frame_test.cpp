@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "common/rng.hpp"
 #include "sim/message.hpp"
@@ -45,6 +46,25 @@ Packet sample_rb_packet(std::uint32_t counter) {
   bid.a = 4;
   Message payload = sample_message(counter);
   return make_rb(bid, RbPhase::kEcho, payload.serialize());
+}
+
+std::string hex(const Bytes& b) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (std::uint8_t x : b) {
+    s.push_back(kDigits[x >> 4]);
+    s.push_back(kDigits[x & 0xF]);
+  }
+  return s;
+}
+
+Bytes unhex(const std::string& s) {
+  Bytes b;
+  for (std::size_t i = 0; i + 1 < s.size(); i += 2) {
+    b.push_back(
+        static_cast<std::uint8_t>(std::stoi(s.substr(i, 2), nullptr, 16)));
+  }
+  return b;
 }
 
 // Feeds `bytes` into a fresh decoder and pops all frames.
@@ -262,6 +282,112 @@ TEST(FrameCodec, HonestFramesSurviveUntilStreamBreaks) {
       }
     }
     EXPECT_EQ(recovered, fed) << "trial " << trial;
+  }
+}
+
+// Golden bytes: these frames are the socket wire format, so their bytes
+// must never move.  The hex below was recorded from the codec as it stood
+// when the cases were added; a layout change fails here first.
+Message golden_message() {
+  Message m;
+  m.sid.path = SessionPath::kMwInSvssCoin;
+  m.sid.variant = 1;
+  m.sid.owner = 2;
+  m.sid.moderator = 3;
+  m.sid.svss_dealer = 1;
+  m.sid.counter = 0x01020304;
+  m.sid.instance = 5;
+  m.sid.epoch = 6;
+  m.type = MsgType::kMwReconVal;
+  m.a = 4;
+  m.b = -2;
+  m.vals = {Fp(7), Fp(0x12345)};
+  m.ints = {1, -1};
+  m.blob = {0xAB};
+  return m;
+}
+
+Packet golden_rb_packet() {
+  BcastId bid;
+  bid.origin = 3;
+  bid.sid.path = SessionPath::kAba;
+  bid.sid.variant = 0;
+  bid.sid.owner = 1;
+  bid.sid.counter = 9;
+  bid.sid.instance = 17;
+  bid.sid.epoch = 2;
+  bid.slot = MsgType::kAbaVote;
+  bid.a = 5;
+  return make_rb(bid, RbPhase::kReady, Bytes{0x01, 0x02, 0x03});
+}
+
+constexpr const char* kGoldenDirect =
+    "410000000102010200000003000000010000000403020105000000060000000a04000000"
+    "feffffff0200000007000000452301000200000001000000ffffffff01000000ab";
+constexpr const char* kGoldenRb =
+    "2c0000000203000000060001000000ffffffffffffffff09000000110000000200000028"
+    "050000000303000000010203";
+constexpr const char* kGoldenHello = "050000000003000000";
+
+// Decodes the single frame in `wire`.
+std::optional<Packet> decode_one(const Bytes& wire) {
+  FrameDecoder dec;
+  auto frames = decode_all(wire, dec);
+  EXPECT_EQ(frames.size(), 1u);
+  EXPECT_EQ(dec.pending_bytes(), 0u);
+  if (frames.size() != 1) return std::nullopt;
+  return decode_packet(frames[0]);
+}
+
+TEST(FrameGolden, DirectFrameBytes) {
+  Bytes wire;
+  append_packet_frame(wire, make_direct(golden_message()));
+  EXPECT_EQ(hex(wire), kGoldenDirect);
+
+  auto out = decode_one(unhex(kGoldenDirect));
+  ASSERT_TRUE(out.has_value());
+  EXPECT_FALSE(out->is_rb);
+  EXPECT_EQ(out->app, golden_message());
+}
+
+TEST(FrameGolden, RbFrameBytes) {
+  Packet p = golden_rb_packet();
+  Bytes wire;
+  append_packet_frame(wire, p);
+  EXPECT_EQ(hex(wire), kGoldenRb);
+
+  auto out = decode_one(unhex(kGoldenRb));
+  ASSERT_TRUE(out.has_value());
+  EXPECT_TRUE(out->is_rb);
+  EXPECT_EQ(out->bid, p.bid);
+  EXPECT_EQ(out->phase, p.phase);
+  EXPECT_EQ(out->rb_payload(), p.rb_payload());
+}
+
+TEST(FrameGolden, HelloFrameBytes) {
+  Bytes wire;
+  append_hello_frame(wire, 3);
+  EXPECT_EQ(hex(wire), kGoldenHello);
+
+  FrameDecoder dec;
+  auto frames = decode_all(unhex(kGoldenHello), dec);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(decode_hello(frames[0], 4), std::optional<int>(3));
+}
+
+// The SessionId reader is shared by kRb frames and Message::deserialize;
+// message_test pins the Message side, this pins the frame side.  The path
+// byte sits after the 4-byte length, the kind byte and the i32 origin.
+TEST(FrameGolden, RbPathByteBeyondTestRejected) {
+  Bytes wire = unhex(kGoldenRb);
+  ASSERT_TRUE(decode_one(wire).has_value());
+  constexpr std::size_t kPathOffset = 4 + 1 + 4;
+  ASSERT_EQ(wire[kPathOffset], static_cast<std::uint8_t>(SessionPath::kAba));
+  wire[kPathOffset] = static_cast<std::uint8_t>(SessionPath::kTest);
+  EXPECT_TRUE(decode_one(wire).has_value());
+  for (std::uint8_t bad : {std::uint8_t{8}, std::uint8_t{0xFF}}) {
+    wire[kPathOffset] = bad;
+    EXPECT_EQ(decode_one(wire), std::nullopt) << "path byte " << int(bad);
   }
 }
 

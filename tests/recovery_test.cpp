@@ -151,6 +151,107 @@ TEST(CatchupCodec, RoundTripAndRejects) {
 }
 
 // ----------------------------------------------------------------------
+// Golden bytes: checkpoint files and journals outlive the binary that
+// wrote them, and catch-up blobs cross the wire, so their layouts must
+// never move.  The hex below was recorded from the codecs as they stood
+// when the cases were added; a file written then must still load.
+// ----------------------------------------------------------------------
+
+std::string hex(const Bytes& b) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (std::uint8_t x : b) {
+    s.push_back(kDigits[x >> 4]);
+    s.push_back(kDigits[x & 0xF]);
+  }
+  return s;
+}
+
+Bytes unhex(const std::string& s) {
+  Bytes b;
+  for (std::size_t i = 0; i + 1 < s.size(); i += 2) {
+    b.push_back(
+        static_cast<std::uint8_t>(std::stoi(s.substr(i, 2), nullptr, 16)));
+  }
+  return b;
+}
+
+Bytes read_file(const std::string& path) {
+  Bytes b;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return b;
+  int c;
+  while ((c = std::fgetc(f)) != EOF) b.push_back(static_cast<std::uint8_t>(c));
+  std::fclose(f);
+  return b;
+}
+
+void write_file(const std::string& path, const Bytes& b) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), f), b.size());
+  std::fclose(f);
+}
+
+// Every field non-default, negative values included.
+std::vector<DecisionRecord> golden_records() {
+  return {{1, 2, 1, 3}, {4, 0x01020304, -1, 7}};
+}
+
+constexpr const char* kGoldenCheckpoint =
+    "5356434b01000000050000000500000001000000040000000000000001000000020000"
+    "000400000008070605040302010200000001000000020000000100000003000000040000"
+    "0004030201ffffffff07000000";
+constexpr const char* kGoldenCatchup =
+    "060000000500000001000000040000000000000001000000020000000400000002000000"
+    "010000000200000001000000030000000400000004030201ffffffff07000000";
+constexpr const char* kGoldenJournal = "100000000400000004030201ffffffff07000000";
+
+TEST(RecoveryGolden, CheckpointFileBytes) {
+  CheckpointData data;
+  data.epoch = 5;
+  data.config = sample_config(5);
+  data.seed = 0x0102030405060708ULL;
+  data.decisions = golden_records();
+  std::string path = tmp_path("svss_golden_ckpt");
+  ASSERT_TRUE(save_checkpoint(path, data));
+  EXPECT_EQ(hex(read_file(path)), kGoldenCheckpoint);
+
+  write_file(path, unhex(kGoldenCheckpoint));
+  auto back = load_checkpoint(path);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->epoch, data.epoch);
+  EXPECT_EQ(back->config, data.config);
+  EXPECT_EQ(back->seed, data.seed);
+  EXPECT_EQ(back->decisions, data.decisions);
+}
+
+TEST(RecoveryGolden, CatchupBlobBytes) {
+  Bytes blob = encode_catchup_state(6, sample_config(5), golden_records());
+  EXPECT_EQ(hex(blob), kGoldenCatchup);
+
+  auto st = decode_catchup_state(unhex(kGoldenCatchup));
+  ASSERT_TRUE(st.has_value());
+  EXPECT_EQ(st->current_epoch, 6u);
+  EXPECT_EQ(st->config, sample_config(5));
+  EXPECT_EQ(st->decisions, golden_records());
+}
+
+TEST(RecoveryGolden, JournalEntryBytes) {
+  const DecisionRecord rec = golden_records()[1];
+  std::string path = tmp_path("svss_golden_journal");
+  {
+    DecisionJournal j;
+    ASSERT_TRUE(j.open(path));
+    ASSERT_TRUE(j.append(rec));
+  }
+  EXPECT_EQ(hex(read_file(path)), kGoldenJournal);
+
+  write_file(path, unhex(kGoldenJournal));
+  EXPECT_EQ(DecisionJournal::replay(path), std::vector<DecisionRecord>{rec});
+}
+
+// ----------------------------------------------------------------------
 // EpochTransport over a fake inner transport
 // ----------------------------------------------------------------------
 
