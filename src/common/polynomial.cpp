@@ -35,29 +35,70 @@ Polynomial Polynomial::interpolate(
     const std::vector<std::pair<Fp, Fp>>& points) {
   if (points.empty()) throw std::invalid_argument("interpolate: no points");
   const std::size_t k = points.size();
-  // Build coefficients by accumulating Lagrange basis polynomials.
-  FieldVec result(k, Fp(0));
-  FieldVec basis;  // scratch: coefficients of prod (x - x_j) terms
+  // One scratch allocation: inv, prefix and basis, k entries each.
+  FieldVec scratch(3 * k);
+  Fp* inv = scratch.data();
+  Fp* prefix = inv + k;
+  Fp* basis = prefix + k;
+  // inv[i] = 1 / prod_{j != i} (x_i - x_j), all k inverted with one field
+  // inversion (Montgomery's trick): prefix[i] is the product of the first
+  // i + 1 denominators, and walking back peels one factor off per step.
   for (std::size_t i = 0; i < k; ++i) {
-    basis.assign(1, Fp(1));
-    Fp denom(1);
+    inv[i] = Fp(1);
+    for (std::size_t j = 0; j < k; ++j) {
+      if (j != i) inv[i] *= points[i].first - points[j].first;
+    }
+    if (inv[i] == Fp(0)) {
+      throw std::invalid_argument("interpolate: duplicate x");
+    }
+    prefix[i] = i == 0 ? inv[i] : prefix[i - 1] * inv[i];
+  }
+  Fp acc = prefix[k - 1].inverse();
+  for (std::size_t i = k; i-- > 0;) {
+    Fp denom = inv[i];
+    inv[i] = i == 0 ? acc : acc * prefix[i - 1];
+    acc *= denom;
+  }
+  // Build coefficients by accumulating Lagrange basis polynomials; basis
+  // holds the coefficients of prod_{j != i} (x - x_j), size terms so far.
+  FieldVec result(k, Fp(0));
+  for (std::size_t i = 0; i < k; ++i) {
+    basis[0] = Fp(1);
+    std::size_t size = 1;
     for (std::size_t j = 0; j < k; ++j) {
       if (j == i) continue;
       // basis *= (x - x_j)
-      basis.push_back(Fp(0));
-      for (std::size_t d = basis.size() - 1; d > 0; --d) {
+      basis[size++] = Fp(0);
+      for (std::size_t d = size - 1; d > 0; --d) {
         basis[d] = basis[d - 1] - points[j].first * basis[d];
       }
       basis[0] = -points[j].first * basis[0];
-      denom *= points[i].first - points[j].first;
     }
-    if (denom == Fp(0)) throw std::invalid_argument("interpolate: duplicate x");
-    Fp scale = points[i].second * denom.inverse();
-    for (std::size_t d = 0; d < basis.size(); ++d) {
-      result[d] += basis[d] * scale;
-    }
+    Fp scale = points[i].second * inv[i];
+    for (std::size_t d = 0; d < size; ++d) result[d] += basis[d] * scale;
   }
   return Polynomial(std::move(result));
+}
+
+Fp Polynomial::interpolate_at_zero(std::span<const std::pair<Fp, Fp>> points) {
+  if (points.empty()) throw std::invalid_argument("interpolate: no points");
+  // f(0) = sum_i y_i * prod_{j != i} x_j / (x_j - x_i), summed as one
+  // fraction num / den so that only den is ever inverted.
+  Fp num(0);
+  Fp den(1);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    Fp a = points[i].second;
+    Fp b(1);
+    for (std::size_t j = 0; j < points.size(); ++j) {
+      if (j == i) continue;
+      a *= points[j].first;
+      b *= points[j].first - points[i].first;
+    }
+    if (b == Fp(0)) throw std::invalid_argument("interpolate: duplicate x");
+    num = num * b + a * den;
+    den *= b;
+  }
+  return num * den.inverse();
 }
 
 std::optional<Polynomial> Polynomial::interpolate_checked(

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -27,8 +28,13 @@ class Polynomial {
   static Polynomial random_with_constant(Fp constant, int deg, Rng& rng);
 
   // Lagrange interpolation through distinct-x points.  Number of points
-  // determines the degree bound (k points -> degree <= k-1).
+  // determines the degree bound (k points -> degree <= k-1).  Throws
+  // std::invalid_argument on no points or a duplicate x.
   static Polynomial interpolate(const std::vector<std::pair<Fp, Fp>>& points);
+
+  // interpolate(points).constant() without building the polynomial: the
+  // Lagrange form evaluated at 0, with one field inversion.  Same throws.
+  static Fp interpolate_at_zero(std::span<const std::pair<Fp, Fp>> points);
 
   // Interpolates through `points` and checks that *all* of them (if more
   // than deg+1 are given) lie on one polynomial of degree <= deg.  Returns

@@ -91,6 +91,9 @@ class Reader {
   std::optional<Bytes> bytes(std::size_t max_len = 1 << 24);
 
   [[nodiscard]] bool exhausted() const { return pos_ == buf_.size(); }
+  // Bytes not yet read: an upper bound for decoders sizing a buffer from a
+  // count the input claims.
+  [[nodiscard]] std::size_t remaining() const { return buf_.size() - pos_; }
 
  private:
   const Bytes& buf_;

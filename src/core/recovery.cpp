@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -12,6 +13,7 @@ namespace {
 constexpr std::uint32_t kCheckpointMagic = 0x4B435653u;  // "SVCK"
 constexpr std::uint32_t kCheckpointVersion = 1;
 constexpr std::size_t kMaxRecords = 1 << 20;
+constexpr std::size_t kRecordBytes = 16;  // four u32 fields
 
 void write_record(Writer& w, const DecisionRecord& r) {
   w.u32(r.epoch);
@@ -36,7 +38,8 @@ std::optional<DecisionRecord> read_record(Reader& r) {
 
 // The decision-record list of checkpoints and catch-up blobs: a u32 count,
 // then the records.  read_records rejects a count past kMaxRecords and a
-// short record.
+// short record, and reserves no more records than the bytes left can hold,
+// so a forged count cannot make it allocate.
 void write_records(Writer& w, const std::vector<DecisionRecord>& records) {
   w.u32(static_cast<std::uint32_t>(records.size()));
   for (const DecisionRecord& r : records) write_record(w, r);
@@ -46,7 +49,7 @@ std::optional<std::vector<DecisionRecord>> read_records(Reader& r) {
   auto count = r.u32();
   if (!count || *count > kMaxRecords) return std::nullopt;
   std::vector<DecisionRecord> out;
-  out.reserve(*count);
+  out.reserve(std::min<std::size_t>(*count, r.remaining() / kRecordBytes));
   for (std::uint32_t i = 0; i < *count; ++i) {
     auto rec = read_record(r);
     if (!rec) return std::nullopt;

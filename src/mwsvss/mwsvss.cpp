@@ -1,8 +1,11 @@
 #include "mwsvss/mwsvss.hpp"
 
-#include <algorithm>
+#include <span>
 
 namespace svss {
+
+// L-hat rows store ids as bytes.
+static_assert(kMaxN <= 256);
 
 MwSvssSession::MwSvssSession(MwHost& host, SessionId sid, int self, int n,
                              int t)
@@ -17,13 +20,14 @@ Message MwSvssSession::base_msg(MsgType type) const {
   return m;
 }
 
-bool MwSvssSession::valid_pid_set(const std::vector<int>& ids) const {
-  if (static_cast<int>(ids.size()) < n_ - t_) return false;
-  std::set<int> seen;
+std::optional<ProcSet> MwSvssSession::pid_set(
+    const std::vector<int>& ids) const {
+  if (static_cast<int>(ids.size()) < n_ - t_) return std::nullopt;
+  ProcSet set;
   for (int id : ids) {
-    if (!valid_pid(id) || !seen.insert(id).second) return false;
+    if (!valid_pid(id) || !set.insert(id)) return std::nullopt;
   }
-  return true;
+  return set;
 }
 
 // ---------------------------------------------------------------------
@@ -62,10 +66,13 @@ void MwSvssSession::deal(Context& ctx, Fp secret) {
 void MwSvssSession::set_moderator_input(Context& ctx, Fp s_prime) {
   if (self_ != moderator() || mod_input_) return;
   mod_input_ = s_prime;
-  progress(ctx);
+  progress(ctx, kModerate);
 }
 
 void MwSvssSession::on_direct(Context& ctx, int from, const Message& m) {
+  // A compacted session has nothing left to do.
+  if (compacted_ || !valid_pid(from)) return;
+  unsigned steps = 0;
   switch (m.type) {
     case MsgType::kMwDealerShares:
       if (from != dealer() || row_vals_ ||
@@ -73,6 +80,7 @@ void MwSvssSession::on_direct(Context& ctx, int from, const Message& m) {
         return;
       }
       row_vals_ = m.vals;
+      steps = kEcho;
       break;
     case MsgType::kMwDealerPoly: {
       if (from != dealer() || my_poly_ ||
@@ -84,6 +92,7 @@ void MwSvssSession::on_direct(Context& ctx, int from, const Message& m) {
         pts.emplace_back(Fp(x), m.vals[static_cast<std::size_t>(x - 1)]);
       }
       my_poly_ = Polynomial::interpolate(pts);
+      steps = kEcho | kConfirm;
       break;
     }
     case MsgType::kMwDealerWhole: {
@@ -96,81 +105,98 @@ void MwSvssSession::on_direct(Context& ctx, int from, const Message& m) {
         pts.emplace_back(Fp(x), m.vals[static_cast<std::size_t>(x - 1)]);
       }
       whole_poly_ = Polynomial::interpolate(pts);
+      steps = kModerate;
       break;
     }
     case MsgType::kMwEchoVal:
       // from sends f-hat^from_self: its received value of f_self(from).
-      if (m.vals.size() != 1 || echo_from_.count(from) != 0) return;
-      echo_from_.emplace(from, m.vals[0]);
+      if (m.vals.size() != 1 || !echo_from_.insert(from)) return;
+      peer(from).echo = m.vals[0];
+      steps = kConfirm;
       break;
     case MsgType::kMwMonitorVal:
       // Monitor `from` hands the moderator its f-hat_from(0).
       if (self_ != moderator() || m.vals.size() != 1 ||
-          monitor_vals_.count(from) != 0) {
+          !monitor_from_.insert(from)) {
         return;
       }
-      monitor_vals_.emplace(from, m.vals[0]);
+      peer(from).monitor = m.vals[0];
+      steps = kModerate;
       break;
     default:
       return;
   }
-  progress(ctx);
+  progress(ctx, steps);
 }
 
 void MwSvssSession::on_broadcast(Context& ctx, int origin, const Message& m) {
+  if (compacted_ || !valid_pid(origin)) return;
+  unsigned steps = 0;
   switch (m.type) {
     case MsgType::kMwAck:
-      acked_.insert(origin);
+      if (!acked_.insert(origin)) return;
+      steps = kConfirm | kModerate | kComplete;
       break;
-    case MsgType::kMwLset:
-      if (lsets_.count(origin) != 0 || !valid_pid_set(m.ints)) return;
-      lsets_.emplace(origin, m.ints);
+    case MsgType::kMwLset: {
+      if (lset_from_.contains(origin)) return;
+      auto ids = pid_set(m.ints);
+      if (!ids) return;
+      lset_from_.insert(origin);
+      peer(origin).lset = *ids;
+      if (lset_order_.empty()) {
+        lset_order_.resize(static_cast<std::size_t>(n_) *
+                           static_cast<std::size_t>(n_));
+      }
+      std::size_t row =
+          static_cast<std::size_t>(origin) * static_cast<std::size_t>(n_);
+      for (int id : m.ints) lset_order_[row++] = static_cast<std::uint8_t>(id);
+      steps = kModerate | kComplete;
       break;
-    case MsgType::kMwMset:
-      if (origin != moderator() || mset_ || !valid_pid_set(m.ints)) return;
+    }
+    case MsgType::kMwMset: {
+      if (origin != moderator() || mset_) return;
+      auto ids = pid_set(m.ints);
+      if (!ids) return;
       mset_ = m.ints;
+      mset_bits_ = *ids;
       // S' step 8: a process outside M-hat drops its DEAL expectations for
       // this session — its polynomial no longer matters.
-      if (std::find(mset_->begin(), mset_->end(), self_) == mset_->end()) {
+      if (!mset_bits_.contains(self_)) {
         host_.dmm().clear_deal_entries(ctx, sid_);
       }
+      steps = kComplete;
       break;
+    }
     case MsgType::kMwOk:
       if (origin != dealer()) return;
       ok_seen_ = true;
+      steps = kComplete;
       break;
     case MsgType::kMwReconVal: {
       // DMM rules 2-3 ran before this handler (see core::Node routing).
-      if (m.vals.size() != 1 || !valid_pid(m.a) || !valid_pid(origin)) {
-        return;
-      }
-      if (recon_seen_.empty()) {
-        recon_seen_.assign(
-            static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_),
-            false);
-      }
-      std::size_t bit = static_cast<std::size_t>(origin) *
-                            static_cast<std::size_t>(n_) +
-                        static_cast<std::size_t>(m.a);
-      if (recon_seen_[bit]) return;
-      recon_seen_[bit] = true;
+      if (m.vals.size() != 1 || !valid_pid(m.a)) return;
+      if (!peer(m.a).recon_from.insert(origin)) return;
       recon_vals_.push_back(ReconVal{origin, m.a, m.vals[0]});
-      break;
+      break;  // feeds only R'
     }
     default:
       return;
   }
-  progress(ctx);
+  progress(ctx, steps);
 }
 
-void MwSvssSession::progress(Context& ctx) {
+void MwSvssSession::progress(Context& ctx, unsigned steps) {
   if (compacted_) return;
-  try_echo_and_ack(ctx);
-  try_add_deal_entries(ctx);
-  try_broadcast_lset(ctx);
-  if (self_ == moderator()) moderator_progress(ctx);
+  if ((steps & kEcho) != 0) try_echo_and_ack(ctx);
+  if ((steps & kConfirm) != 0) {
+    try_add_deal_entries(ctx);
+    try_broadcast_lset(ctx);
+  }
+  if ((steps & kModerate) != 0 && self_ == moderator()) {
+    moderator_progress(ctx);
+  }
   if (self_ == dealer()) dealer_progress(ctx);
-  try_complete_share(ctx);
+  if ((steps & kComplete) != 0) try_complete_share(ctx);
   if (recon_started_) recon_progress(ctx);
 }
 
@@ -198,29 +224,27 @@ void MwSvssSession::try_add_deal_entries(Context& ctx) {
   // S' step 8 extension: once M-hat is known and we are not a monitor in
   // it, f_self is irrelevant — registering further expectations would
   // create obligations nobody ever fulfills.
-  if (mset_ && std::find(mset_->begin(), mset_->end(), self_) ==
-                   mset_->end()) {
-    return;
-  }
-  for (const auto& [l, val] : echo_from_) {
-    if (deal_added_.count(l) != 0 || acked_.count(l) == 0) continue;
+  if (mset_ && !mset_bits_.contains(self_)) return;
+  // Each acked echo is compared once: its value and f-hat_self are both
+  // fixed, so a mismatch is final.
+  ProcSet fresh = (echo_from_ & acked_).minus(deal_checked_);
+  fresh.for_each([&](int l) {
+    deal_checked_.insert(l);
+    Fp val = peer(l).echo;
     if (val == my_poly_->eval(point(l))) {
       deal_added_.insert(l);
       host_.dmm().add_deal_entry(ctx, l, sid_, val);
     }
-  }
+  });
 }
 
 // S' step 4: enough confirmers — publish L_self and give the moderator the
 // monitored point f_self(0).
 void MwSvssSession::try_broadcast_lset(Context& ctx) {
-  if (lset_sent_ || !my_poly_ ||
-      static_cast<int>(deal_added_.size()) < n_ - t_) {
-    return;
-  }
+  if (lset_sent_ || !my_poly_ || deal_added_.count() < n_ - t_) return;
   lset_sent_ = true;
   Message lset = base_msg(MsgType::kMwLset);
-  lset.ints.assign(deal_added_.begin(), deal_added_.end());
+  deal_added_.for_each([&](int l) { lset.ints.push_back(l); });
   host_.rb_broadcast(ctx, lset);
   Message mv = base_msg(MsgType::kMwMonitorVal);
   mv.vals.push_back(my_poly_->constant());
@@ -233,46 +257,47 @@ void MwSvssSession::try_broadcast_lset(Context& ctx) {
 void MwSvssSession::moderator_progress(Context& ctx) {
   if (mset_sent_ || !whole_poly_ || !mod_input_) return;
   if (whole_poly_->constant() != *mod_input_) return;  // dealer != moderator
-  for (const auto& [j, v] : monitor_vals_) {
-    if (m_building_.count(j) != 0) continue;
-    if (v != whole_poly_->eval(point(j))) continue;
-    auto ls = lsets_.find(j);
-    if (ls == lsets_.end()) continue;
-    bool all_acked = true;
-    for (int l : ls->second) {
-      if (acked_.count(l) == 0) {
-        all_acked = false;
-        break;
-      }
-    }
-    if (all_acked) m_building_.insert(j);
-  }
-  if (static_cast<int>(m_building_.size()) >= n_ - t_) {
+  ProcSet candidates = (monitor_from_ & lset_from_).minus(m_building_);
+  candidates.for_each([&](int j) {
+    const Peer& p = peer(j);
+    if (p.monitor != whole_poly_->eval(point(j))) return;
+    if (p.lset.subset_of(acked_)) m_building_.insert(j);
+  });
+  if (m_building_.count() >= n_ - t_) {
     mset_sent_ = true;
     Message mset = base_msg(MsgType::kMwMset);
-    mset.ints.assign(m_building_.begin(), m_building_.end());
+    m_building_.for_each([&](int j) { mset.ints.push_back(j); });
     host_.rb_broadcast(ctx, mset);
   }
+}
+
+MwSvssSession::Peer& MwSvssSession::peer(int l) {
+  if (peers_.empty()) peers_.resize(static_cast<std::size_t>(n_));
+  return peers_[static_cast<std::size_t>(l)];
+}
+
+bool MwSvssSession::mset_covered() {
+  if (!mset_ || !mset_bits_.subset_of(lset_from_)) return false;
+  for (int j : *mset_) {
+    if (!peer(j).lset.subset_of(acked_)) return false;
+  }
+  return true;
 }
 
 // S' step 7: the dealer cross-checks the moderator's M against the L sets
 // and acks it saw itself, registers ACK expectations for every (monitor,
 // confirmer) pair, and publishes OK.
 void MwSvssSession::dealer_progress(Context& ctx) {
-  if (ok_sent_ || !dealt_ || !mset_) return;
-  for (int j : *mset_) {
-    auto ls = lsets_.find(j);
-    if (ls == lsets_.end()) return;
-    for (int l : ls->second) {
-      if (acked_.count(l) == 0) return;
-    }
-  }
+  if (ok_sent_ || !dealt_ || !mset_covered()) return;
   ok_sent_ = true;
   for (int j : *mset_) {
-    for (int l : lsets_.at(j)) {
-      host_.dmm().add_ack_entry(
-          ctx, l, j, sid_,
-          dealer_polys_[static_cast<std::size_t>(j)].eval(point(l)));
+    const Polynomial& fj = dealer_polys_[static_cast<std::size_t>(j)];
+    const std::uint8_t* row = &lset_order_[static_cast<std::size_t>(j) *
+                                           static_cast<std::size_t>(n_)];
+    int size = peer(j).lset.count();
+    for (int k = 0; k < size; ++k) {
+      int l = row[k];
+      host_.dmm().add_ack_entry(ctx, l, j, sid_, fj.eval(point(l)));
     }
   }
   host_.rb_broadcast(ctx, base_msg(MsgType::kMwOk));
@@ -280,14 +305,7 @@ void MwSvssSession::dealer_progress(Context& ctx) {
 
 // S' step 9: OK + M-hat + all L-hat sets + all their acks == done.
 void MwSvssSession::try_complete_share(Context& ctx) {
-  if (share_done_ || !ok_seen_ || !mset_) return;
-  for (int l : *mset_) {
-    auto ls = lsets_.find(l);
-    if (ls == lsets_.end()) return;
-    for (int k : ls->second) {
-      if (acked_.count(k) == 0) return;
-    }
-  }
+  if (share_done_ || !ok_seen_ || !mset_covered()) return;
   share_done_ = true;
   ctx.log().record(
       Event{EventKind::kMwShareComplete, self_, -1, sid_, 0, false});
@@ -299,7 +317,7 @@ void MwSvssSession::try_complete_share(Context& ctx) {
 void MwSvssSession::start_reconstruct(Context& ctx) {
   if (recon_started_) return;
   recon_started_ = true;
-  progress(ctx);
+  progress(ctx, 0);
 }
 
 void MwSvssSession::recon_progress(Context& ctx) {
@@ -309,12 +327,7 @@ void MwSvssSession::recon_progress(Context& ctx) {
   if (!recon_broadcast_done_ && row_vals_) {
     recon_broadcast_done_ = true;
     for (int l : *mset_) {
-      const auto& ls = lsets_.find(l);
-      if (ls == lsets_.end()) continue;
-      if (std::find(ls->second.begin(), ls->second.end(), self_) ==
-          ls->second.end()) {
-        continue;
-      }
+      if (!peer(l).lset.contains(self_)) continue;
       Message rv = base_msg(MsgType::kMwReconVal);
       rv.a = static_cast<std::int16_t>(l);
       rv.vals.push_back((*row_vals_)[static_cast<std::size_t>(l)]);
@@ -323,35 +336,31 @@ void MwSvssSession::recon_progress(Context& ctx) {
   }
 
   // R' steps 2-3: fold broadcast values into K_{self,l} in arrival order;
-  // the first t+1 points of each monitor interpolate f-bar_l.
+  // the first t+1 points of each monitor determine f-bar_l, of which R'
+  // step 4 needs only f-bar_l(0).
+  const auto width = static_cast<std::size_t>(t_) + 1;
+  if (kvals_.empty()) kvals_.resize(static_cast<std::size_t>(n_) * width);
   for (; recon_cursor_ < recon_vals_.size(); ++recon_cursor_) {
     const ReconVal& rv = recon_vals_[recon_cursor_];
-    if (std::find(mset_->begin(), mset_->end(), rv.l) == mset_->end()) {
-      continue;
-    }
-    auto ls = lsets_.find(rv.l);
-    if (ls == lsets_.end()) continue;
-    if (std::find(ls->second.begin(), ls->second.end(), rv.from) ==
-        ls->second.end()) {
-      continue;
-    }
-    auto& k = kvals_[rv.l];
-    if (static_cast<int>(k.size()) >= t_ + 1) continue;
-    k.emplace_back(point(rv.from), rv.x);
-    if (static_cast<int>(k.size()) == t_ + 1 && fbar_.count(rv.l) == 0) {
-      fbar_.emplace(rv.l, Polynomial::interpolate(k));
+    Peer& p = peer(rv.l);
+    if (!mset_bits_.contains(rv.l) || !p.lset.contains(rv.from)) continue;
+    if (p.kcount >= t_ + 1) continue;
+    std::size_t row = static_cast<std::size_t>(rv.l) * width;
+    kvals_[row + static_cast<std::size_t>(p.kcount++)] = {point(rv.from), rv.x};
+    if (p.kcount == t_ + 1) {
+      p.fbar0 = Polynomial::interpolate_at_zero(
+          std::span<const std::pair<Fp, Fp>>(&kvals_[row], width));
+      fbar_from_.insert(rv.l);
     }
   }
 
   // R' step 4: with every monitor's polynomial in hand, interpolate f-bar
   // through the monitored points, or output bottom.
-  for (int l : *mset_) {
-    if (fbar_.count(l) == 0) return;
-  }
+  if (!mset_bits_.subset_of(fbar_from_)) return;
   std::vector<std::pair<Fp, Fp>> pts;
   pts.reserve(mset_->size());
   for (int l : *mset_) {
-    pts.emplace_back(point(l), fbar_.at(l).constant());
+    pts.emplace_back(point(l), peer(l).fbar0);
   }
   auto f = Polynomial::interpolate_checked(pts, t_);
   output_ready_ = true;
@@ -367,21 +376,12 @@ void MwSvssSession::recon_progress(Context& ctx) {
 void MwSvssSession::compact() {
   if (!share_done_ || !output_ready_ || compacted_) return;
   compacted_ = true;
-  dealer_polys_.clear();
-  dealer_polys_.shrink_to_fit();
+  dealer_polys_ = {};
   row_vals_.reset();
-  echo_from_.clear();
-  acked_.clear();
-  deal_added_.clear();
-  lsets_.clear();
-  monitor_vals_.clear();
-  m_building_.clear();
-  recon_vals_.clear();
-  recon_vals_.shrink_to_fit();
-  recon_seen_.clear();
-  recon_seen_.shrink_to_fit();
-  kvals_.clear();
-  fbar_.clear();
+  peers_ = {};
+  lset_order_ = {};
+  recon_vals_ = {};
+  kvals_ = {};
 }
 
 }  // namespace svss

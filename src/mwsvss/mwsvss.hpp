@@ -14,13 +14,13 @@
 // f_l(0) = f(point(l)).
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/field.hpp"
 #include "common/polynomial.hpp"
+#include "common/proc_set.hpp"
 #include "dmm/dmm.hpp"
 #include "sim/engine.hpp"
 #include "sim/message.hpp"
@@ -46,8 +46,17 @@ class MwHost {
 
 // Protocol state machine for one MW-SVSS session at one process.  All
 // inputs arrive through dealer initiation (deal), moderator input, the
-// reconstruct trigger, and pre-filtered messages; every handler re-runs the
-// step conditions of S' (steps 3-9) that could have become true.
+// reconstruct trigger, and pre-filtered messages.
+//
+// The step conditions of S' (steps 2-9) and R' only ever turn true as
+// inputs arrive, never false again, so a handler re-checks only the steps
+// its one input can enable (see Steps).  Every per-process set is a
+// ProcSet and every per-process value lives in one n-entry Peer array,
+// allocated once per session, so each check is a few word operations over
+// the inputs not yet judged: step 3 visits only acked echoes it has not
+// compared yet, the moderator only monitors with a value and an L-set not
+// yet accepted, and "every L-set of M-hat is acked" is one subset test per
+// monitor.
 class MwSvssSession {
  public:
   MwSvssSession(MwHost& host, SessionId sid, int self, int n, int t);
@@ -104,10 +113,25 @@ class MwSvssSession {
   [[nodiscard]] int dealer() const { return sid_.owner; }
   [[nodiscard]] int moderator() const { return sid_.moderator; }
   [[nodiscard]] bool valid_pid(int p) const { return p >= 0 && p < n_; }
-  // Checks that `ids` is a plausible participant set of size >= n - t.
-  [[nodiscard]] bool valid_pid_set(const std::vector<int>& ids) const;
+  // `ids` as a set if it is a plausible participant set: at least n - t
+  // distinct ids in [0, n).
+  [[nodiscard]] std::optional<ProcSet> pid_set(
+      const std::vector<int>& ids) const;
+  // S' steps 7 and 9: M-hat, the L-hat set of every monitor in it, and an
+  // ack from every process in those sets are all in.
+  [[nodiscard]] bool mset_covered();
 
-  void progress(Context& ctx);
+  // Step groups an input can enable.  Steps 7 (dealer) and R' have cheap
+  // guards and are re-checked after every input: deal() does not run the
+  // steps itself, so step 7 may first hold at any later input.
+  enum Steps : unsigned {
+    kEcho = 1,      // step 2: row values or f-hat_self arrived
+    kConfirm = 2,   // steps 3-4: f-hat_self, an echo or an ack arrived
+    kModerate = 4,  // steps 5-6: f-hat, s', a monitor value, an L-set, an ack
+    kComplete = 8,  // step 9: OK, M-hat, an L-set or an ack arrived
+  };
+  // Runs the enabled steps of `steps`, then 7 and R', in protocol order.
+  void progress(Context& ctx, unsigned steps);
   void try_echo_and_ack(Context& ctx);       // step 2
   void try_add_deal_entries(Context& ctx);   // step 3
   void try_broadcast_lset(Context& ctx);     // step 4
@@ -129,24 +153,44 @@ class MwSvssSession {
   bool dealt_ = false;
   bool ok_sent_ = false;
 
+  // Everything this process holds about one peer l, indexed by l.  Each
+  // value is valid once l is in the matching presence set below.
+  struct Peer {
+    Fp echo;             // f-hat^l_self (echo_from_)
+    Fp monitor;          // moderator: f-hat_l(0) (monitor_from_)
+    Fp fbar0;            // f-bar_l(0) (fbar_from_)
+    ProcSet lset;        // L-hat_l (lset_from_); empty until it arrives
+    ProcSet recon_from;  // origins whose recon value for f_l arrived
+    int kcount = 0;      // |K_{self,l}|
+  };
+
   // --- share-phase participant state ---
   std::optional<FieldVec> row_vals_;        // f-hat^self_1..n from dealer
   std::optional<Polynomial> my_poly_;       // f-hat_self
   bool echoed_ = false;                     // step 2 done
-  std::map<int, Fp> echo_from_;             // l -> f-hat^l_self
-  std::set<int> acked_;                     // ack broadcasts seen
-  std::set<int> deal_added_;                // confirmers with DEAL entries
+  // n entries, allocated by the first input that names a peer: a session
+  // that has only heard from the dealer holds none.
+  std::vector<Peer> peers_;
+  Peer& peer(int l);
+  ProcSet echo_from_;                       // echo values seen
+  ProcSet acked_;                           // ack broadcasts seen
+  ProcSet deal_checked_;                    // echoes step 3 compared
+  ProcSet deal_added_;                      // confirmers with DEAL entries
   bool lset_sent_ = false;
-  std::map<int, std::vector<int>> lsets_;   // monitor l -> L-hat_l
-  std::optional<std::vector<int>> mset_;    // M-hat from the moderator
+  ProcSet lset_from_;                       // monitors whose L-hat arrived
+  // Row l (n slots, the first |L-hat_l| used) holds L-hat_l in received
+  // order: the dealer registers ACK expectations in that order.
+  std::vector<std::uint8_t> lset_order_;
+  std::optional<std::vector<int>> mset_;    // M-hat, in received order
+  ProcSet mset_bits_;
   bool ok_seen_ = false;
   bool share_done_ = false;
 
   // --- moderator state ---
   std::optional<Polynomial> whole_poly_;    // f-hat from the dealer
   std::optional<Fp> mod_input_;             // s'
-  std::map<int, Fp> monitor_vals_;          // j -> f-hat^j(0)
-  std::set<int> m_building_;
+  ProcSet monitor_from_;                    // monitor values seen
+  ProcSet m_building_;
   bool mset_sent_ = false;
 
   // --- reconstruct state ---
@@ -157,19 +201,16 @@ class MwSvssSession {
     int l;
     Fp x;
   };
-  std::vector<ReconVal> recon_vals_;        // arrival order
-  // One recon value per (origin, monitored poly).  With per-session RBC
-  // framing the instance id (origin, sid, type, l) enforces this
-  // structurally; with the group-coalesced transport a Byzantine origin
-  // could replay a pair across two envelope flushes, so the session pins
-  // the uniqueness itself (duplicate points would poison interpolation).
-  // An (origin, l) bitmap sized n*n lazily — recon broadcasts are the
-  // dominant MW traffic class, so this sits on the delivery hot path and
-  // must not allocate per insert.
-  std::vector<bool> recon_seen_;
+  // Arrival order.  One recon value per (origin, monitored poly), pinned by
+  // Peer::recon_from: with per-session RBC framing the instance id
+  // (origin, sid, type, l) enforces this structurally, but with the
+  // group-coalesced transport a Byzantine origin could replay a pair across
+  // two envelope flushes (duplicate points would poison interpolation).
+  std::vector<ReconVal> recon_vals_;
   std::size_t recon_cursor_ = 0;
-  std::map<int, std::vector<std::pair<Fp, Fp>>> kvals_;  // l -> K_{self,l}
-  std::map<int, Polynomial> fbar_;          // l -> interpolated f-bar_l
+  // Row l (t + 1 slots, the first Peer::kcount used) holds K_{self,l}.
+  std::vector<std::pair<Fp, Fp>> kvals_;
+  ProcSet fbar_from_;                       // monitors with f-bar_l(0)
   bool output_ready_ = false;
   std::optional<Fp> output_;
   bool compacted_ = false;

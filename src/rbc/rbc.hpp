@@ -19,8 +19,9 @@
 // Storage is sized for the coin's traffic profile: a full-stack agreement
 // run drives millions of transport packets through this state machine, so
 // instances live in a flat open-addressing table (one hash probe per
-// packet, no node allocations) and per-value sender sets are fixed-width
-// bitsets (process ids are bounded by kMaxN).
+// packet, no node allocations) and per-value sender sets are ProcSets
+// (common/proc_set.hpp): fixed-width bitsets, since process ids are
+// bounded by kMaxN.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "common/flat_map.hpp"
+#include "common/proc_set.hpp"
 #include "sim/engine.hpp"
 #include "sim/message.hpp"
 
@@ -51,37 +53,13 @@ class Rbc {
   void on_transport(Context& ctx, int from, const Packet& p);
 
  private:
-  // Distinct senders of one value, as a fixed-width bitset (no per-sender
-  // allocation).  Width is derived from kMaxN — the same bound
-  // Runner::validate enforces — so widening the id space automatically
-  // widens the set.
-  struct SenderSet {
-    static constexpr std::size_t kWords = (kMaxN + 63) / 64;
-    std::uint64_t words[kWords] = {};
-
-    // Inserts sender `i`; false if already present (or out of range).
-    bool insert(int i) {
-      if (i < 0 || i >= static_cast<int>(kMaxN)) return false;
-      std::uint64_t& w = words[i >> 6];
-      std::uint64_t bit = 1ULL << (i & 63);
-      if ((w & bit) != 0) return false;
-      w |= bit;
-      return true;
-    }
-    [[nodiscard]] int count() const {
-      int total = 0;
-      for (std::uint64_t w : words) total += __builtin_popcountll(w);
-      return total;
-    }
-  };
-
   // Echo/ready tallies for one distinct broadcast value.  Almost every
   // instance sees exactly one value, so values live in a small vector
   // scanned linearly.
   struct ValueVotes {
     Bytes value;
-    SenderSet echoes;
-    SenderSet readies;
+    ProcSet echoes;
+    ProcSet readies;
   };
 
   struct Instance {

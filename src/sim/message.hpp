@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/field.hpp"
+#include "common/proc_set.hpp"
 #include "common/serialization.hpp"
 
 namespace svss {
@@ -34,8 +35,8 @@ enum class SessionPath : std::uint8_t {
   kTest = 7,         // scratch sessions for unit tests
 };
 
-// Number of attachees encodable in an SVSS-in-coin counter (round*kMaxN+j).
-inline constexpr std::uint32_t kMaxN = 128;
+// kMaxN (common/proc_set.hpp) is also the number of attachees encodable in
+// an SVSS-in-coin counter (round*kMaxN+j).
 // Per-instance agreement round ceiling, also used to namespace the
 // ideal-coin seed mix (instance * kCoinRoundsPerInstance + round), so
 // instance 0's bit stream is unchanged from single-instance runs.

@@ -9,7 +9,9 @@
 //   Lemma 1(a): only faulty processes are ever detected.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "core/runner.hpp"
 #include "mwsvss/mwsvss.hpp"
@@ -268,6 +270,140 @@ TEST(MwSvss, MessageComplexityPolynomial) {
         << n;
   }
 }
+
+// --- Golden behaviour ---------------------------------------------------
+// Each cell runs one MW-SVSS (or SVSS) session under every scheduler kind
+// and three seeds, and folds everything the runs show into one FNV-1a
+// digest: status, completion flags, every honest output (bottom included),
+// the shun pairs, the wire counters and every field of every logged event.
+// The constants were recorded before the session state moved to bitsets
+// and per-peer arrays; a CPU-only rewrite of the session must leave every
+// cell byte-identical.
+struct GoldenCell {
+  const char* name;
+  int n;
+  int t;
+  std::map<int, ByzConfig> faults;
+  bool svss;  // run_svss(secret) instead of run_mwsvss(secret, mod_input)
+  Fp secret;
+  Fp mod_input;
+  const char* digest;
+};
+
+void PrintTo(const GoldenCell& cell, std::ostream* os) { *os << cell.name; }
+
+class Fnv {
+ public:
+  void put(std::uint64_t v, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      h_ ^= (v >> (8 * b)) & 0xFF;
+      h_ *= 0x100000001B3ULL;
+    }
+  }
+  [[nodiscard]] std::string hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
+void fold_run(Fnv& d, const Runner& r, const Runner::ShareResult& res) {
+  d.put(static_cast<std::uint64_t>(res.status), 1);
+  d.put(res.all_honest_shared ? 1 : 0, 1);
+  d.put(res.all_honest_output ? 1 : 0, 1);
+  for (const auto& [i, out] : res.outputs) {
+    d.put(static_cast<std::uint32_t>(i), 4);
+    d.put(out ? 1 : 0, 1);
+    d.put(out ? out->value() : 0, 8);
+  }
+  for (const auto& [i, j] : res.shun_pairs) {
+    d.put(static_cast<std::uint32_t>(i), 4);
+    d.put(static_cast<std::uint32_t>(j), 4);
+  }
+  d.put(res.metrics.packets_sent, 8);
+  d.put(res.metrics.bytes_sent, 8);
+  for (const Event& e : r.log().events()) {
+    d.put(static_cast<std::uint64_t>(e.kind), 1);
+    d.put(static_cast<std::uint32_t>(e.who), 4);
+    d.put(static_cast<std::uint32_t>(e.other), 4);
+    d.put(static_cast<std::uint64_t>(e.sid.path), 1);
+    d.put(e.sid.variant, 1);
+    d.put(static_cast<std::uint16_t>(e.sid.owner), 2);
+    d.put(static_cast<std::uint16_t>(e.sid.moderator), 2);
+    d.put(static_cast<std::uint16_t>(e.sid.svss_dealer), 2);
+    d.put(e.sid.counter, 4);
+    d.put(e.sid.instance, 4);
+    d.put(static_cast<std::uint64_t>(e.value), 8);
+    d.put(e.has_value ? 1 : 0, 1);
+  }
+}
+
+const GoldenCell kGoldenCells[] = {
+    {"honest", 4, 1, {}, false, Fp(777), Fp(777), "7aebac3fcde110d7"},
+    // A participant that lies in its reconstruct broadcasts: the dealer's
+    // DMM rule 2 catches it (HonestDealerDetectsLyingConfirmer).
+    {"lying_confirmer", 4, 1, {{2, ByzConfig{ByzKind::kWrongRecon}}}, false,
+     Fp(1), Fp(1), "9d6cd74455cb5111"},
+    // A split-view participant: the upper half receives shifted echo
+    // values, which step 3 must refuse to confirm.
+    {"wrong_echo", 4, 1, {{2, ByzConfig{ByzKind::kEquivocate}}}, false,
+     Fp(31), Fp(31), "caf4bc4eb2262ed9"},
+    // Monitor 2 hands the moderator a wrong f-hat_2(0) (steps 5-6).
+    {"monitor_mismatch", 4, 1, {{2, ByzConfig{ByzKind::kLyingModerator}}},
+     false, Fp(606), Fp(606), "14f2d57053eed68c"},
+    {"moderator_input_mismatch", 4, 1, {}, false, Fp(1), Fp(2),
+     "a0d79550322fd5bb"},
+    // Confirmer 3's shifted recon values land in some f-bar_l, so the
+    // monitored points disagree and some honest processes output bottom.
+    {"bottom_output", 4, 1, {{3, ByzConfig{ByzKind::kWrongRecon}}}, false,
+     Fp(1234), Fp(1234), "374bedfe2904f0ac"},
+    // At n = 7 the moderator publishes M-hat with n - t of the monitors,
+    // so in every run of the cell two processes drop their DEAL
+    // expectations (S' step 8).
+    {"outside_mhat_clear", 7, 2, {}, false, Fp(31415), Fp(31415),
+     "33abfc0378b1e9f0"},
+    {"equivocating_dealer", 4, 1, {{0, ByzConfig{ByzKind::kEquivocate}}},
+     false, Fp(99), Fp(99), "db1e39718203b81c"},
+    {"svss_honest", 4, 1, {}, true, Fp(321), Fp(321), "75fbba76668e918b"},
+    {"svss_bitflip", 4, 1, {{3, ByzConfig{ByzKind::kBitFlip, 0, 0.15}}}, true,
+     Fp(321), Fp(321), "4cf78b00d2670533"},
+};
+
+class MwSvssGolden : public ::testing::TestWithParam<GoldenCell> {};
+
+TEST_P(MwSvssGolden, MatchesRecordedDigest) {
+  const GoldenCell& cell = GetParam();
+  Fnv d;
+  int bottoms = 0;
+  for (auto sched : {SchedulerKind::kFifo, SchedulerKind::kRandom,
+                     SchedulerKind::kLifo, SchedulerKind::kDelayLastHonest}) {
+    for (std::uint64_t seed : {3u, 17u, 2026u}) {
+      RunnerConfig c = cfg(cell.n, cell.t, seed, sched);
+      c.faults = cell.faults;
+      Runner r(c);
+      auto res = cell.svss ? r.run_svss(cell.secret)
+                           : r.run_mwsvss(cell.secret, cell.mod_input);
+      fold_run(d, r, res);
+      for (const auto& [i, out] : res.outputs) {
+        if (!out) ++bottoms;
+      }
+    }
+  }
+  if (std::string(cell.name) == "bottom_output") {
+    EXPECT_GT(bottoms, 0) << "the cell no longer reaches a bottom output";
+  }
+  EXPECT_EQ(d.hex(), cell.digest) << cell.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, MwSvssGolden, ::testing::ValuesIn(kGoldenCells),
+    [](const ::testing::TestParamInfo<GoldenCell>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace svss

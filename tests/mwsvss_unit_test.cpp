@@ -464,5 +464,111 @@ TEST_F(MwUnit, CompactKeepsOutputs) {
   EXPECT_EQ(*session.output(), Fp(500));
 }
 
+// --- hostile ids against the per-peer arrays ------------------------------
+// Ids outside [0, n) index nothing: every such input is dropped before it
+// touches session state (the asan-ubsan CI job runs this binary, so an
+// out-of-bounds access fails there), and so are malformed sets.  A valid
+// transcript afterwards must then run exactly as on a fresh session.
+constexpr int kBadIds[] = {-1, MwUnit::kN, 127, 128, 1000, -32768};
+
+TEST_F(MwUnit, HostileIdsAndSetsIgnored) {
+  Context ctx = engine.host(3).ctx();
+  MwSvssSession session(host, sid(), /*self=*/3, kN, kT);
+  for (int bad : kBadIds) {
+    session.on_broadcast(ctx, bad, msg(MsgType::kMwAck));
+    session.on_broadcast(ctx, bad, msg(MsgType::kMwLset, {}, {0, 1, 2}));
+    session.on_broadcast(ctx, bad, msg(MsgType::kMwOk));
+    session.on_broadcast(ctx, bad, msg(MsgType::kMwReconVal, {Fp(1)}, {}, 0));
+    session.on_broadcast(ctx, 0, msg(MsgType::kMwReconVal, {Fp(1)}, {}, bad));
+    session.on_direct(ctx, bad, msg(MsgType::kMwEchoVal, {Fp(1)}));
+    session.on_direct(ctx, bad, msg(MsgType::kMwMonitorVal, {Fp(1)}));
+    // A set naming an out-of-range id.
+    session.on_broadcast(ctx, 0, msg(MsgType::kMwLset, {}, {0, 1, bad}));
+    session.on_broadcast(ctx, 1, msg(MsgType::kMwMset, {}, {0, 1, bad}));
+  }
+  for (const std::vector<int>& ids : std::vector<std::vector<int>>{
+           {0, 1},           // fewer than n - t
+           {0, 0, 1},        // duplicate
+           {0, 1, 2, 2},     // duplicate past n - t
+           {0, 1, 2, 3, 0},  // more ids than processes
+       }) {
+    for (int origin : {0, 1, 2}) {
+      session.on_broadcast(ctx, origin, msg(MsgType::kMwLset, {}, ids));
+    }
+    session.on_broadcast(ctx, 1, msg(MsgType::kMwMset, {}, ids));
+  }
+  EXPECT_TRUE(host.broadcasts.empty());
+  EXPECT_TRUE(host.directs.empty());
+  EXPECT_FALSE(session.state().have_mset);
+
+  // The genuine transcript of ReconstructOutputsSecretFromConsistentValues.
+  session.on_broadcast(ctx, 1, msg(MsgType::kMwMset, {}, {0, 1, 2}));
+  session.on_broadcast(ctx, 0, msg(MsgType::kMwOk));
+  for (int l : {0, 1, 2}) {
+    session.on_broadcast(ctx, l, msg(MsgType::kMwLset, {}, {0, 1, 2}));
+  }
+  for (int k : {0, 1, 2}) session.on_broadcast(ctx, k, msg(MsgType::kMwAck));
+  ASSERT_TRUE(session.share_complete());
+  session.start_reconstruct(ctx);
+  Polynomial f(FieldVec{Fp(500), Fp(1)});
+  for (int l : {0, 1, 2}) {
+    Polynomial fl(FieldVec{f.eval(point(l)), Fp(1)});
+    for (int k : {0, 1}) {
+      session.on_broadcast(
+          ctx, k, msg(MsgType::kMwReconVal, {fl.eval(point(k))}, {}, l));
+    }
+  }
+  ASSERT_TRUE(session.has_output());
+  ASSERT_TRUE(session.output().has_value());
+  EXPECT_EQ(*session.output(), Fp(500));
+}
+
+TEST_F(MwUnit, HostileMonitorAndEchoSendersIgnoredByModerator) {
+  Context ctx = engine.host(1).ctx();
+  MwSvssSession session(host, sid(), /*self=*/1, kN, kT);
+  std::vector<std::pair<Fp, Fp>> pts{{Fp(1), Fp(11)}, {Fp(2), Fp(22)}};
+  Polynomial f = Polynomial::interpolate(pts);
+  session.set_moderator_input(ctx, f.eval(Fp(0)));
+  session.on_direct(ctx, 0, msg(MsgType::kMwDealerWhole, {Fp(11), Fp(22)}));
+  for (int bad : kBadIds) {
+    session.on_direct(ctx, bad, msg(MsgType::kMwMonitorVal, {Fp(0)}));
+    session.on_direct(ctx, bad, msg(MsgType::kMwEchoVal, {Fp(0)}));
+    session.on_broadcast(ctx, bad, msg(MsgType::kMwAck));
+  }
+  EXPECT_TRUE(host.broadcasts.empty());
+  // The run of ModeratorAcceptsConsistentMonitors still forms M.
+  for (int j : {0, 2, 3}) {
+    session.on_direct(ctx, j,
+                      msg(MsgType::kMwMonitorVal, {f.eval(point(j))}));
+    session.on_broadcast(ctx, j, msg(MsgType::kMwLset, {}, {0, 2, 3}));
+  }
+  for (int l : {0, 2, 3}) session.on_broadcast(ctx, l, msg(MsgType::kMwAck));
+  auto msets = host.broadcasts_of(MsgType::kMwMset);
+  ASSERT_EQ(msets.size(), 1u);
+  EXPECT_EQ(msets[0].ints, (std::vector<int>{0, 2, 3}));
+}
+
+// S' step 7 with an M-hat and L-hat sets out of id order: OK goes out on
+// the last missing ack, after one ACK expectation per (monitor,
+// confirmer) pair.
+TEST_F(MwUnit, DealerKeepsLsetOrderForAckEntries) {
+  Context ctx = engine.host(0).ctx();
+  MwSvssSession dealer(host, sid(), /*self=*/0, kN, kT);
+  dealer.deal(ctx, Fp(9));
+  host.broadcasts.clear();
+  dealer.on_broadcast(ctx, 1, msg(MsgType::kMwMset, {}, {3, 1, 2}));
+  for (int j : {1, 2, 3}) {
+    dealer.on_broadcast(ctx, j, msg(MsgType::kMwLset, {}, {3, 0, 2}));
+  }
+  for (int l : {0, 2}) dealer.on_broadcast(ctx, l, msg(MsgType::kMwAck));
+  EXPECT_TRUE(host.broadcasts_of(MsgType::kMwOk).empty());
+  dealer.on_broadcast(ctx, 3, msg(MsgType::kMwAck));
+  ASSERT_EQ(host.broadcasts_of(MsgType::kMwOk).size(), 1u);
+  // One ACK expectation per (monitor, confirmer): three per confirmer.
+  for (int l : {0, 2, 3}) {
+    EXPECT_EQ(host.dmm().pending_expectations(l), 3u) << l;
+  }
+}
+
 }  // namespace
 }  // namespace svss

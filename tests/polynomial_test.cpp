@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/rng.hpp"
 
 namespace svss {
@@ -58,6 +60,87 @@ TEST(Polynomial, InterpolateRejectsDuplicateX) {
 
 TEST(Polynomial, InterpolateRejectsEmpty) {
   EXPECT_THROW(Polynomial::interpolate({}), std::invalid_argument);
+}
+
+// `k` points at distinct random nonzero x with random y.
+std::vector<std::pair<Fp, Fp>> random_points(Rng& rng, int k) {
+  std::set<std::uint64_t> xs;
+  std::vector<std::pair<Fp, Fp>> pts;
+  while (static_cast<int>(pts.size()) < k) {
+    Fp x = rng.next_field();
+    if (x == Fp(0) || !xs.insert(x.value()).second) continue;
+    pts.emplace_back(x, rng.next_field());
+  }
+  return pts;
+}
+
+// Textbook Lagrange: one field inversion per basis polynomial.
+FieldVec reference_coefficients(const std::vector<std::pair<Fp, Fp>>& pts) {
+  FieldVec result(pts.size(), Fp(0));
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    FieldVec basis{Fp(1)};
+    Fp denom(1);
+    for (std::size_t j = 0; j < pts.size(); ++j) {
+      if (j == i) continue;
+      FieldVec next(basis.size() + 1, Fp(0));
+      for (std::size_t d = 0; d < basis.size(); ++d) {
+        next[d + 1] += basis[d];
+        next[d] -= pts[j].first * basis[d];
+      }
+      basis = next;
+      denom *= pts[i].first - pts[j].first;
+    }
+    Fp scale = pts[i].second * denom.inverse();
+    for (std::size_t d = 0; d < basis.size(); ++d) {
+      result[d] += basis[d] * scale;
+    }
+  }
+  return result;
+}
+
+// The batch-inverted interpolation passes through every point and equals
+// the one-inversion-per-point reference coefficient for coefficient.
+TEST(Polynomial, InterpolateMatchesReferenceOnRandomPoints) {
+  Rng rng(21);
+  for (int k = 1; k <= 16; ++k) {
+    for (int trial = 0; trial < 8; ++trial) {
+      auto pts = random_points(rng, k);
+      Polynomial p = Polynomial::interpolate(pts);
+      EXPECT_EQ(p.degree_bound(), k - 1);
+      for (const auto& [x, y] : pts) EXPECT_EQ(p.eval(x), y) << "k=" << k;
+      EXPECT_EQ(p.coefficients(), reference_coefficients(pts)) << "k=" << k;
+    }
+  }
+}
+
+TEST(Polynomial, InterpolateRejectsDuplicateXAnywhere) {
+  Rng rng(22);
+  for (int k = 2; k <= 16; ++k) {
+    auto pts = random_points(rng, k);
+    // Repeat the first x at the last position with a different y.
+    pts.back().first = pts.front().first;
+    EXPECT_THROW(Polynomial::interpolate(pts), std::invalid_argument) << k;
+    EXPECT_THROW(Polynomial::interpolate_at_zero(pts), std::invalid_argument)
+        << k;
+  }
+}
+
+TEST(Polynomial, InterpolateAtZeroMatchesConstant) {
+  Rng rng(23);
+  for (int k = 1; k <= 16; ++k) {
+    for (int trial = 0; trial < 8; ++trial) {
+      auto pts = random_points(rng, k);
+      EXPECT_EQ(Polynomial::interpolate_at_zero(pts),
+                Polynomial::interpolate(pts).constant())
+          << "k=" << k;
+    }
+  }
+  // The share points of processes 1..t+1, as MW-SVSS's R' uses them.
+  Polynomial f = Polynomial::random_with_constant(Fp(4242), 3, rng);
+  std::vector<std::pair<Fp, Fp>> shares;
+  for (int x = 1; x <= 4; ++x) shares.emplace_back(Fp(x), f.eval(Fp(x)));
+  EXPECT_EQ(Polynomial::interpolate_at_zero(shares), Fp(4242));
+  EXPECT_THROW(Polynomial::interpolate_at_zero({}), std::invalid_argument);
 }
 
 TEST(Polynomial, CheckedAcceptsConsistentOversampledPoints) {

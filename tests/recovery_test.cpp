@@ -150,6 +150,27 @@ TEST(CatchupCodec, RoundTripAndRejects) {
   EXPECT_FALSE(decode_catchup_state(padded).has_value());
 }
 
+// A peer's blob whose record count claims far more records than it holds
+// is rejected, and the decoder reserves only what the bytes left can hold
+// (before the bound, this 36-byte blob made it allocate 16 MiB).
+TEST(CatchupCodec, ForgedRecordCountRejected) {
+  Bytes blob = encode_catchup_state(2, sample_config(2), {});
+  ASSERT_EQ(blob.size(), 36u);
+  // The trailing u32 is the record count: claim 2^20 records.
+  blob[32] = 0x00;
+  blob[33] = 0x00;
+  blob[34] = 0x10;
+  blob[35] = 0x00;
+  EXPECT_FALSE(decode_catchup_state(blob).has_value());
+  // The same forged count with one genuine record behind it.
+  Bytes one = encode_catchup_state(2, sample_config(2), {{1, 2, 3, 4}});
+  one[32] = 0x00;
+  one[33] = 0x00;
+  one[34] = 0x10;
+  one[35] = 0x00;
+  EXPECT_FALSE(decode_catchup_state(one).has_value());
+}
+
 // ----------------------------------------------------------------------
 // Golden bytes: checkpoint files and journals outlive the binary that
 // wrote them, and catch-up blobs cross the wire, so their layouts must
