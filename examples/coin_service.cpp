@@ -90,7 +90,7 @@ int run_daemon(int id, const std::string& peers_spec, std::uint32_t rounds,
 int main(int argc, char** argv) {
   int id = -1;
   std::string peers;
-  std::uint32_t rounds = 8;
+  unsigned long rounds = 8;
   std::uint64_t seed = 11;
   bool with_fault = false;
   bool daemon = false;
@@ -101,18 +101,27 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[a], "--peers") == 0 && a + 1 < argc) {
       peers = argv[++a];
     } else if (std::strcmp(argv[a], "--rounds") == 0 && a + 1 < argc) {
-      rounds = static_cast<std::uint32_t>(std::strtoul(argv[++a], nullptr, 10));
+      rounds = std::strtoul(argv[++a], nullptr, 10);
     } else if (std::strcmp(argv[a], "--seed") == 0 && a + 1 < argc) {
       seed = std::strtoull(argv[++a], nullptr, 10);
     } else if (std::strcmp(argv[a], "--fault") == 0) {
       with_fault = true;
     } else if (a == 1) {
-      rounds = static_cast<std::uint32_t>(std::strtoul(argv[a], nullptr, 10));
+      rounds = std::strtoul(argv[a], nullptr, 10);
     } else if (a == 2) {
       seed = std::strtoull(argv[a], nullptr, 10);
     }
   }
-  if (daemon) return run_daemon(id, peers, rounds, seed);
+  // Beacon round r is coin round r of instance 0, and peers drop coin
+  // traffic past the agreement's round bound.
+  if (rounds >= svss::kCoinRoundsPerInstance) {
+    std::fprintf(stderr, "coin_service: rounds must be below %u\n",
+                 svss::kCoinRoundsPerInstance);
+    return 2;
+  }
+  if (daemon) {
+    return run_daemon(id, peers, static_cast<std::uint32_t>(rounds), seed);
+  }
 
   svss::RunnerConfig cfg;
   cfg.n = 4;
@@ -159,7 +168,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\nsummary over %u rounds: unanimous-0 %d, unanimous-1 %d, split %d\n",
+      "\nsummary over %lu rounds: unanimous-0 %d, unanimous-1 %d, split %d\n",
       rounds, unanimous[0], unanimous[1], mixed);
   std::printf("messages total: %llu\n",
               static_cast<unsigned long long>(

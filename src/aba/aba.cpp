@@ -2,13 +2,11 @@
 
 namespace svss {
 
-namespace {
-
-constexpr std::uint32_t kMaxRound = kCoinRoundsPerInstance - 1;
-
 SessionId aba_sid(std::uint32_t instance) {
   return SessionId{SessionPath::kAba, 0, -1, -1, -1, 0, instance};
 }
+
+namespace {
 
 Message vote_msg(std::uint32_t instance, std::uint32_t round, int subtype,
                  int payload) {
@@ -112,8 +110,8 @@ void AbaSession::send_est(Context& ctx, std::uint32_t r, int v) {
 
 void AbaSession::on_direct(Context& ctx, int from, const Message& m) {
   if (m.type != MsgType::kAbaVote || m.ints.size() != 1) return;
-  if (m.a < 1 || static_cast<std::uint32_t>(m.a) > kMaxRound) return;
   auto r = static_cast<std::uint32_t>(m.a);
+  if (!coin_round_ok(r)) return;
   int v = m.ints[0];
   switch (m.b) {
     case 0:  // EST
@@ -139,17 +137,17 @@ void AbaSession::on_direct(Context& ctx, int from, const Message& m) {
 
 void AbaSession::on_broadcast(Context& ctx, int origin, const Message& m) {
   if (m.type != MsgType::kAbaVote || m.b != 2 || m.ints.size() != 1) return;
-  if (m.a < 1 || static_cast<std::uint32_t>(m.a) > kMaxRound) return;
+  auto r = static_cast<std::uint32_t>(m.a);
+  if (!coin_round_ok(r)) return;
   auto set = decode_set(m.ints[0]);
   if (!set) return;
-  auto r = static_cast<std::uint32_t>(m.a);
   round_state(r).conf_from.emplace(origin, std::move(*set));
   if (started_ && r == round_) progress(ctx);
 }
 
 void AbaSession::on_coin(Context& ctx, std::uint32_t round, int bit) {
   if (mode_ != CoinMode::kSvss) return;
-  if (round < 1 || round > kMaxRound) return;
+  if (!coin_round_ok(round)) return;
   round_state(round).coin = bit != 0 ? 1 : 0;
   if (started_ && round == round_) progress(ctx);
 }

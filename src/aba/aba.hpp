@@ -60,6 +60,11 @@ enum class CoinMode {
                  // the full O(n^7)-message stack)
 };
 
+// The canonical sid of agreement instance `instance`: its votes carry it,
+// and a Node keys the instance's session by it, whatever owner or counter a
+// peer's vote claims.
+SessionId aba_sid(std::uint32_t instance);
+
 class AbaHost {
  public:
   virtual ~AbaHost() = default;

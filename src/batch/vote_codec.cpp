@@ -16,9 +16,9 @@ namespace {
 
 constexpr int kConf = 2;
 
+// Negative rounds wrap past the bound.
 bool round_ok(int round) {
-  return round >= 1 &&
-         static_cast<std::uint32_t>(round) < kCoinRoundsPerInstance;
+  return coin_round_ok(static_cast<std::uint32_t>(round));
 }
 
 bool direct_subtype(int subtype) {

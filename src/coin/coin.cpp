@@ -14,13 +14,9 @@ SessionId coin_svss_id(std::uint32_t round, int dealer, int attachee,
   return sid;
 }
 
-namespace {
-
 SessionId coin_sid(std::uint32_t round, std::uint32_t instance) {
   return SessionId{SessionPath::kCoin, 0, -1, -1, -1, round, instance};
 }
-
-}  // namespace
 
 CoinSession::CoinSession(CoinHost& host, std::uint32_t round, int self, int n,
                          int t, std::uint32_t instance)

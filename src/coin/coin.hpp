@@ -40,6 +40,9 @@ namespace svss {
 // instance `instance` (0 for single-instance runs).
 SessionId coin_svss_id(std::uint32_t round, int dealer, int attachee,
                        std::uint32_t instance = 0);
+// The canonical sid of coin round `round` of agreement instance `instance`:
+// its kCoin broadcasts carry it, and a Node keys the round's session by it.
+SessionId coin_sid(std::uint32_t round, std::uint32_t instance);
 
 class CoinHost {
  public:

@@ -1,12 +1,16 @@
 #include "common/serialization.hpp"
 
+#include <algorithm>
+
 namespace svss {
 
 std::optional<FieldVec> Reader::field_vec(std::size_t max_len) {
   auto len = u32();
   if (!len || *len > max_len) return std::nullopt;
   FieldVec out;
-  out.reserve(*len);
+  // Every element takes 4 bytes, so a forged length reserves no more than
+  // the buffer could hold.
+  out.reserve(std::min<std::size_t>(*len, remaining() / 4));
   for (std::uint32_t i = 0; i < *len; ++i) {
     auto x = field();
     if (!x) return std::nullopt;
@@ -19,7 +23,7 @@ std::optional<std::vector<int>> Reader::int_vec(std::size_t max_len) {
   auto len = u32();
   if (!len || *len > max_len) return std::nullopt;
   std::vector<int> out;
-  out.reserve(*len);
+  out.reserve(std::min<std::size_t>(*len, remaining() / 4));
   for (std::uint32_t i = 0; i < *len; ++i) {
     auto x = i32();
     if (!x) return std::nullopt;

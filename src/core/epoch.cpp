@@ -211,23 +211,6 @@ std::vector<std::vector<int>> live_members(
   return live;
 }
 
-bool node_decided(const Node& nd, std::uint32_t instance) {
-  const AbaSession* a = nd.aba(instance);
-  return a != nullptr && a->decided();
-}
-
-void finish_epoch_result(EpochsResult::PerEpoch& pe,
-                         const std::vector<int>& live) {
-  for (auto& [inst, per] : pe.decisions) {
-    if (per.size() != live.size() || per.empty()) continue;
-    bool same = true;
-    for (const auto& [g, v] : per) {
-      if (v != per.begin()->second) same = false;
-    }
-    if (same) pe.values.emplace(inst, per.begin()->second);
-  }
-}
-
 }  // namespace
 
 // ----------------------------------------------------------------------
@@ -278,7 +261,7 @@ EpochsResult Runner::run_epochs(const std::vector<EpochPlan>& script,
     run_slots(
         [&](int g) {
           for (const auto& [inst, inputs] : plan.instances) {
-            if (!node_decided(member(g).node(), inst)) return false;
+            if (!finished(member(g).node().aba(inst))) return false;
           }
           return true;
         },
@@ -286,16 +269,15 @@ EpochsResult Runner::run_epochs(const std::vector<EpochPlan>& script,
 
     EpochsResult::PerEpoch pe;
     for (const auto& [inst, inputs] : plan.instances) {
-      for (int g : live[e]) {
-        const AbaSession* a = member(g).node().aba(inst);
-        if (a != nullptr && a->decided()) {
-          pe.decisions[inst].emplace(g, a->decision());
-        } else {
-          res.all_decided = false;
-        }
+      std::map<int, int> per;
+      if (!collect(live[e], [&](int g) { return member(g).node().aba(inst); },
+                   per)) {
+        res.all_decided = false;
+      } else if (unanimous(per)) {
+        pe.values.emplace(inst, per.begin()->second);
       }
+      if (!per.empty()) pe.decisions.emplace(inst, std::move(per));
     }
-    finish_epoch_result(pe, live[e]);
 
     pe.boundary_decided = true;
     if (e + 1 < script.size()) {
@@ -306,7 +288,7 @@ EpochsResult Runner::run_epochs(const std::vector<EpochPlan>& script,
                                    kEpochBoundaryInstance);
       }
       auto closed = [&](int g) {
-        return node_decided(member(g).node(), kEpochBoundaryInstance);
+        return finished(member(g).node().aba(kEpochBoundaryInstance));
       };
       run_slots(closed, live[e]);
       for (int g : live[e]) {

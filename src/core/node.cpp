@@ -1,5 +1,7 @@
 #include "core/node.hpp"
 
+#include <stdexcept>
+
 namespace svss {
 
 Node::Node(int self, int n, int t, BatchFraming framing)
@@ -84,7 +86,7 @@ void Node::route_app(Context& ctx, int sender, const Message& m,
       deliver_svss(ctx, sender, m, via_rb);
       return;
     case SessionPath::kCoin:
-      if (via_rb && m.sid.counter <= kMaxN * kMaxN) {
+      if (via_rb && coin_round_ok(m.sid.counter)) {
         coin(ctx, m.sid.instance, m.sid.counter).on_broadcast(ctx, sender, m);
       }
       return;
@@ -163,29 +165,38 @@ void Node::deliver_svss(Context& ctx, int sender, const Message& m,
 // ---------------------------------------------------------------------
 // Session access
 // ---------------------------------------------------------------------
+template <class S, class... Args>
+S& Node::open(const SessionId& sid, const Args&... args) {
+  if (S* found = find<S>(sid)) return *found;
+  // Built before the insert, so no Entry reference spans the constructor.
+  auto made = std::make_unique<S>(*this, args...);
+  S& session = *made;
+  Entry& e = sessions_[sid];
+  if (e.session.index() != 0) {
+    throw std::logic_error("Node: sid " + sid.str() +
+                           " already names another layer's session");
+  }
+  e.session = std::move(made);
+  return session;
+}
+
+template <class S>
+S* Node::find(const SessionId& sid) const {
+  const Entry* e = sessions_.find(sid);
+  if (e == nullptr) return nullptr;
+  const auto* slot = std::get_if<std::unique_ptr<S>>(&e->session);
+  return slot == nullptr ? nullptr : slot->get();
+}
+
 MwSvssSession& Node::mw(Context& ctx, const SessionId& sid) {
   (void)ctx;
-  std::unique_ptr<MwSvssSession>& slot = mw_[sid];
-  if (!slot) {
-    slot = std::make_unique<MwSvssSession>(*this, sid, self_, n_, t_);
-  }
-  return *slot;
+  return open<MwSvssSession>(sid, sid, self_, n_, t_);
 }
 
 SvssSession& Node::svss(Context& ctx, const SessionId& sid) {
   (void)ctx;
-  std::unique_ptr<SvssSession>& slot = svss_[sid];
-  if (!slot) {
-    slot = std::make_unique<SvssSession>(*this, sid, self_, n_, t_);
-  }
-  return *slot;
+  return open<SvssSession>(sid, sid, self_, n_, t_);
 }
-
-namespace {
-std::uint64_t coin_key(std::uint32_t instance, std::uint32_t round) {
-  return (static_cast<std::uint64_t>(instance) << 32) | round;
-}
-}  // namespace
 
 CoinSession& Node::coin(Context& ctx, std::uint32_t round) {
   return coin(ctx, 0, round);
@@ -194,15 +205,8 @@ CoinSession& Node::coin(Context& ctx, std::uint32_t round) {
 CoinSession& Node::coin(Context& ctx, std::uint32_t instance,
                         std::uint32_t round) {
   (void)ctx;
-  auto key = coin_key(instance, round);
-  auto it = coins_.find(key);
-  if (it == coins_.end()) {
-    it = coins_
-             .emplace(key, std::make_unique<CoinSession>(*this, round, self_,
-                                                         n_, t_, instance))
-             .first;
-  }
-  return *it->second;
+  return open<CoinSession>(coin_sid(round, instance), round, self_, n_, t_,
+                           instance);
 }
 
 void Node::start_aba(Context& ctx, int input, CoinMode mode,
@@ -218,15 +222,8 @@ void Node::start_aba(Context& ctx, int input, CoinMode mode,
 }
 
 AbaSession& Node::aba_instance(std::uint32_t instance) {
-  auto it = abas_.find(instance);
-  if (it == abas_.end()) {
-    it = abas_.emplace(instance,
-                       std::make_unique<AbaSession>(*this, self_, n_, t_,
-                                                    aba_mode_, aba_seed_,
-                                                    instance))
-             .first;
-  }
-  return *it->second;
+  return open<AbaSession>(aba_sid(instance), self_, n_, t_, aba_mode_,
+                          aba_seed_, instance);
 }
 
 void Node::start_acs(Context& ctx, Bytes proposal, CoinMode mode,
@@ -299,13 +296,11 @@ void Node::acs_start_aba(Context& ctx, std::uint32_t instance, int input) {
 }
 
 AbaSession* Node::aba(std::uint32_t instance) {
-  auto it = abas_.find(instance);
-  return it == abas_.end() ? nullptr : it->second.get();
+  return find<AbaSession>(aba_sid(instance));
 }
 
 const AbaSession* Node::aba(std::uint32_t instance) const {
-  auto it = abas_.find(instance);
-  return it == abas_.end() ? nullptr : it->second.get();
+  return find<AbaSession>(aba_sid(instance));
 }
 
 void Node::start_benor(Context& ctx, int input) {
@@ -320,13 +315,11 @@ void Node::start_benor(Context& ctx, int input) {
 }
 
 const MwSvssSession* Node::find_mw(const SessionId& sid) const {
-  const std::unique_ptr<MwSvssSession>* slot = mw_.find(sid);
-  return slot == nullptr ? nullptr : slot->get();
+  return find<MwSvssSession>(sid);
 }
 
 const SvssSession* Node::find_svss(const SessionId& sid) const {
-  const std::unique_ptr<SvssSession>* slot = svss_.find(sid);
-  return slot == nullptr ? nullptr : slot->get();
+  return find<SvssSession>(sid);
 }
 
 const CoinSession* Node::find_coin(std::uint32_t round) const {
@@ -335,8 +328,7 @@ const CoinSession* Node::find_coin(std::uint32_t round) const {
 
 const CoinSession* Node::find_coin(std::uint32_t instance,
                                    std::uint32_t round) const {
-  auto it = coins_.find(coin_key(instance, round));
-  return it == coins_.end() ? nullptr : it->second.get();
+  return find<CoinSession>(coin_sid(round, instance));
 }
 
 // ---------------------------------------------------------------------
@@ -382,9 +374,7 @@ void Node::mw_recon_output(Context& ctx, const SessionId& sid,
   if (auto parent = parent_session(sid)) {
     svss(ctx, *parent).on_child_output(ctx, sid, value);
   }
-  if (auto* slot = mw_.find(sid); slot != nullptr && *slot) {
-    (*slot)->compact();
-  }
+  if (MwSvssSession* s = find<MwSvssSession>(sid)) s->compact();
 }
 
 void Node::svss_share_completed(Context& ctx, const SessionId& sid) {
@@ -408,8 +398,7 @@ void Node::svss_recon_output(Context& ctx, const SessionId& sid,
 
 void Node::coin_output(Context& ctx, std::uint32_t instance,
                        std::uint32_t round, int bit) {
-  auto it = abas_.find(instance);
-  if (it != abas_.end()) it->second->on_coin(ctx, round, bit);
+  if (AbaSession* a = aba(instance)) a->on_coin(ctx, round, bit);
 }
 
 void Node::start_coin(Context& ctx, std::uint32_t instance,
@@ -422,7 +411,7 @@ void Node::start_coin(Context& ctx, std::uint32_t instance,
 // carry round * kMaxN + attachee in the counter.
 void Node::on_coin_contact(Context& ctx, const SessionId& sid) {
   const std::uint32_t round = sid.counter / kMaxN;
-  if (round < 1 || round >= kCoinRoundsPerInstance) return;
+  if (!coin_round_ok(round)) return;
   const CoinSession* c = find_coin(sid.instance, round);
   if (c != nullptr && c->started()) return;
   const AbaSession* a = aba(sid.instance);
@@ -430,15 +419,17 @@ void Node::on_coin_contact(Context& ctx, const SessionId& sid) {
   if (a != nullptr && a->current_round() >= round) {
     start_coin(ctx, sid.instance, round);
   } else {
-    coin_contact_.insert(coin_key(sid.instance, round));  // join on entry
+    // Join on entry; the flag may precede the round's session.
+    sessions_[coin_sid(round, sid.instance)].coin_contact = true;
   }
 }
 
 void Node::aba_entered_round(Context& ctx, std::uint32_t instance,
                              std::uint32_t round) {
-  if (coin_contact_.erase(coin_key(instance, round)) != 0) {
-    start_coin(ctx, instance, round);
-  }
+  Entry* e = sessions_.find(coin_sid(round, instance));
+  if (e == nullptr || !e->coin_contact) return;
+  e->coin_contact = false;
+  start_coin(ctx, instance, round);
 }
 
 void Node::aba_decided(Context& ctx, int value, std::uint32_t round,

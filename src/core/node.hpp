@@ -1,9 +1,12 @@
 // core::Node — one honest process running the full protocol stack.
 //
 // A Node owns, per process: the reliable-broadcast engine, the DMM filter,
-// and lazily created protocol sessions (MW-SVSS, SVSS, common-coin rounds,
-// any number of agreement instances, and the ACS / secure-sum / MVBA
-// extension sessions).  It routes every inbound packet:
+// one session table, and the ACS / secure-sum / MVBA / Ben-Or extension
+// sessions.  The table holds every MW-SVSS, SVSS, common-coin round and
+// agreement session, each created on first use and keyed by its canonical
+// sid: the delivered sid for MW-SVSS and SVSS, coin_sid(round, instance)
+// for a coin round and aba_sid(instance) for an agreement instance.  It
+// routes every inbound packet:
 //
 //   network packet
 //     -> RB transport state machine (if transport)       [rbc/]
@@ -22,8 +25,7 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <variant>
 
 #include "common/flat_map.hpp"
 
@@ -167,7 +169,15 @@ class Node : public IProcess,
   // the per-session state machine.  Sub-messages of unpacked envelopes
   // re-enter route_app, so batching never skips a rule.
   void deliver_mw(Context& ctx, int sender, const Message& m, bool via_rb);
+  // Get-or-create of agreement instance `instance`, with the node's coin
+  // configuration.
   AbaSession& aba_instance(std::uint32_t instance);
+  // The table's one get-or-create and one lookup: the session of layer S
+  // at `sid`, built as S(*this, args...) on first use.
+  template <class S, class... Args>
+  S& open(const SessionId& sid, const Args&... args);
+  template <class S>
+  [[nodiscard]] S* find(const SessionId& sid) const;
   // The one ACS session: created with `options` on first use, fed the
   // proposals RB delivered before it existed, then joined with `proposal`.
   void join_acs(Context& ctx, Bytes proposal, AcsOptions options);
@@ -182,17 +192,24 @@ class Node : public IProcess,
   Rbc rbc_;
   Dmm dmm_;
   Batcher batch_;
-  // Flat tables (common/flat_map.hpp): session lookup is the per-delivery
-  // routing cost, so these sit on the hot path.  Sessions are never erased.
-  FlatMap<SessionId, std::unique_ptr<MwSvssSession>, SessionIdHash> mw_;
-  FlatMap<SessionId, std::unique_ptr<SvssSession>, SessionIdHash> svss_;
-  // Keyed by (instance << 32) | round.
-  std::unordered_map<std::uint64_t, std::unique_ptr<CoinSession>> coins_;
-  // Coin rounds peers dealt before the local instance entered the round;
-  // joined by aba_entered_round.  Same key as coins_.
-  std::unordered_set<std::uint64_t> coin_contact_;
-  std::unordered_map<std::uint32_t, std::unique_ptr<AbaSession>> abas_;
+  // One entry of the session table: the session its sid names, if any.
+  struct Entry {
+    std::variant<std::monostate, std::unique_ptr<MwSvssSession>,
+                 std::unique_ptr<SvssSession>, std::unique_ptr<CoinSession>,
+                 std::unique_ptr<AbaSession>>
+        session;
+    // Coin-round entries: a peer dealt this round before the local
+    // instance entered it; aba_entered_round joins then.  A peer's kCoin
+    // broadcast may have created the (unstarted) session already.
+    bool coin_contact = false;
+  };
+  // The session table (common/flat_map.hpp): lookup is the per-delivery
+  // routing cost.  Entries are never erased, and an insert moves them, so
+  // no Entry reference is held across a call into a session; the sessions
+  // themselves sit behind unique_ptr and never move.
+  FlatMap<SessionId, Entry, SessionIdHash> sessions_;
   std::size_t abas_decided_ = 0;
+  // The extension sessions, one each per process, outside the table.
   std::unique_ptr<BenOrSession> benor_;
   std::unique_ptr<AcsSession> acs_;
   std::unique_ptr<SecureSumSession> sum_;

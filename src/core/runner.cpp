@@ -97,15 +97,6 @@ LoopbackOptions loopback_options(const RunnerConfig& cfg) {
   return opts;
 }
 
-// True iff `out` is non-empty and every value in it is the same.
-template <class V>
-bool unanimous(const std::map<int, V>& out) {
-  for (const auto& [i, v] : out) {
-    if (!(v == out.begin()->second)) return false;
-  }
-  return !out.empty();
-}
-
 }  // namespace
 
 Runner::Runner(RunnerConfig cfg) : cfg_(validate(std::move(cfg))) {
@@ -239,10 +230,6 @@ Runner::ShareResult Runner::share_then_reconstruct(bool reconstruct,
     const auto* s = find(nd);
     return s != nullptr && s->share_complete();
   };
-  auto output = [&find](const Node& nd) {
-    const auto* s = find(nd);
-    return s != nullptr && s->has_output();
-  };
   ShareResult res;
   res.status = run_until_honest(shared);
   res.all_honest_shared = true;
@@ -259,15 +246,10 @@ Runner::ShareResult Runner::share_then_reconstruct(bool reconstruct,
       Context c = ctx(i);
       open(c, node(i)).start_reconstruct(c);
     }
-    res.status = run_until_honest(output);
-    res.all_honest_output = true;
-    for (int i : honest_ids()) {
-      if (output(node(i))) {
-        res.outputs.emplace(i, find(node(i))->output());
-      } else {
-        res.all_honest_output = false;
-      }
-    }
+    res.status =
+        run_until_honest([&find](const Node& nd) { return finished(find(nd)); });
+    res.all_honest_output = collect(
+        honest_ids(), [&](int i) { return find(node(i)); }, res.outputs);
   }
   res.shun_pairs = honest_shun_pairs();
   res.metrics = cluster_->merged_metrics();
@@ -311,19 +293,10 @@ Runner::CoinResult Runner::run_coin(std::uint32_t round) {
     });
   }
   CoinResult res;
-  res.status = run_until_honest([&](const Node& nd) {
-    const CoinSession* cs = nd.find_coin(round);
-    return cs != nullptr && cs->has_output();
-  });
-  res.all_output = true;
-  for (int i : honest_ids()) {
-    const CoinSession* cs = node(i).find_coin(round);
-    if (cs != nullptr && cs->has_output()) {
-      res.bits.emplace(i, cs->output());
-    } else {
-      res.all_output = false;
-    }
-  }
+  res.status = run_until_honest(
+      [round](const Node& nd) { return finished(nd.find_coin(round)); });
+  res.all_output = collect(
+      honest_ids(), [&](int i) { return node(i).find_coin(round); }, res.bits);
   res.agreed = res.all_output && unanimous(res.bits);
   res.shun_pairs = honest_shun_pairs();
   res.metrics = cluster_->merged_metrics();
@@ -333,30 +306,24 @@ Runner::CoinResult Runner::run_coin(std::uint32_t round) {
 // ---------------------------------------------------------------------
 // Agreement
 // ---------------------------------------------------------------------
-namespace {
-
-// Collects the decisions of an agreement session type (AbaSession,
-// BenOrSession) at every honest slot; `get` maps a Node to its session.
 template <class Get>
-Runner::AbaResult collect_agreement(Runner& r, Get get) {
-  Runner::AbaResult res;
-  res.all_decided = true;
-  for (int i : r.honest_ids()) {
-    const auto* a = get(r.node(i));
-    if (a != nullptr && a->decided()) {
-      res.decisions.emplace(i, a->decision());
-      res.decision_rounds.emplace(i, a->decision_round());
-      res.max_round = std::max(res.max_round, a->decision_round());
-    } else {
-      res.all_decided = false;
-    }
+Runner::AbaResult Runner::run_agreement(Get get) {
+  AbaResult res;
+  res.status =
+      run_until_honest([&get](const Node& nd) { return finished(get(nd)); });
+  res.all_decided = collect(
+      honest_ids(), [&](int i) { return get(node(i)); }, res.decisions);
+  for (const auto& [i, v] : res.decisions) {
+    const std::uint32_t round = get(node(i))->decision_round();
+    res.decision_rounds.emplace(i, round);
+    res.max_round = std::max(res.max_round, round);
   }
   if (!res.decisions.empty()) res.value = res.decisions.begin()->second;
   res.agreed = res.all_decided && unanimous(res.decisions);
+  res.shun_pairs = honest_shun_pairs();
+  res.metrics = cluster_->merged_metrics();
   return res;
 }
-
-}  // namespace
 
 Runner::AbaResult Runner::run_aba(const std::vector<int>& inputs,
                                   CoinMode mode) {
@@ -370,15 +337,7 @@ Runner::AbaResult Runner::run_aba(const std::vector<int>& inputs,
       nd.start_aba(c, input, mode, coin_seed);
     });
   }
-  RunStatus status = run_until_honest([](const Node& nd) {
-    return nd.aba() != nullptr && nd.aba()->decided();
-  });
-  AbaResult res =
-      collect_agreement(*this, [](const Node& nd) { return nd.aba(); });
-  res.status = status;
-  res.shun_pairs = honest_shun_pairs();
-  res.metrics = cluster_->merged_metrics();
-  return res;
+  return run_agreement([](const Node& nd) { return nd.aba(); });
 }
 
 Runner::AbaResult Runner::run_benor(const std::vector<int>& inputs) {
@@ -391,15 +350,7 @@ Runner::AbaResult Runner::run_benor(const std::vector<int>& inputs) {
       nd.start_benor(c, input);
     });
   }
-  RunStatus status = run_until_honest([](const Node& nd) {
-    return nd.benor() != nullptr && nd.benor()->decided();
-  });
-  AbaResult res =
-      collect_agreement(*this, [](const Node& nd) { return nd.benor(); });
-  res.status = status;
-  res.shun_pairs = honest_shun_pairs();
-  res.metrics = cluster_->merged_metrics();
-  return res;
+  return run_agreement([](const Node& nd) { return nd.benor(); });
 }
 
 void Runner::submit(std::uint32_t instance, std::vector<int> inputs) {
@@ -437,8 +388,7 @@ Runner::MultiAbaResult Runner::run_submitted(CoinMode mode) {
   res.status = run_until_honest([&submitted](const Node& nd) {
     if (nd.abas_decided() < submitted.size()) return false;
     for (const auto& [instance, inputs] : submitted) {
-      const AbaSession* a = nd.aba(instance);
-      if (a == nullptr || !a->decided()) return false;
+      if (!finished(nd.aba(instance))) return false;
     }
     return true;
   });
@@ -446,15 +396,9 @@ Runner::MultiAbaResult Runner::run_submitted(CoinMode mode) {
   res.all_decided = true;
   for (const auto& [instance, inputs] : submitted_) {
     std::map<int, int>& per = res.decisions[instance];
-    for (int i : honest) {
-      const AbaSession* a = node(i).aba(instance);
-      if (a != nullptr && a->decided()) {
-        per.emplace(i, a->decision());
-      } else {
-        res.all_decided = false;
-      }
-    }
-    if (per.size() == honest.size() && unanimous(per)) {
+    if (!collect(honest, [&](int i) { return node(i).aba(instance); }, per)) {
+      res.all_decided = false;
+    } else if (unanimous(per)) {
       res.values.emplace(instance, per.begin()->second);
     }
   }
@@ -481,18 +425,10 @@ Runner::AcsResult Runner::run_acs(const std::vector<Bytes>& proposals,
         });
   }
   AcsResult res;
-  res.status = run_until_honest([](const Node& nd) {
-    return nd.acs() != nullptr && nd.acs()->has_output();
-  });
-  res.all_output = true;
-  for (int i : honest_ids()) {
-    const AcsSession* a = node(i).acs();
-    if (a != nullptr && a->has_output()) {
-      res.outputs.emplace(i, a->output());
-    } else {
-      res.all_output = false;
-    }
-  }
+  res.status =
+      run_until_honest([](const Node& nd) { return finished(nd.acs()); });
+  res.all_output =
+      collect(honest_ids(), [&](int i) { return node(i).acs(); }, res.outputs);
   res.agreed = res.all_output && unanimous(res.outputs);
   res.metrics = cluster_->merged_metrics();
   return res;
@@ -512,18 +448,11 @@ Runner::MvbaResult Runner::run_mvba(const std::vector<Fp>& proposals,
         });
   }
   MvbaResult res;
-  res.status = run_until_honest([](const Node& nd) {
-    return nd.mvba() != nullptr && nd.mvba()->decided();
-  });
-  res.all_decided = true;
-  for (int i : honest_ids()) {
-    const MvbaSession* s = node(i).mvba();
-    if (s != nullptr && s->decided()) {
-      res.decisions.emplace(i, s->decision().value());
-    } else {
-      res.all_decided = false;
-    }
-  }
+  res.status =
+      run_until_honest([](const Node& nd) { return finished(nd.mvba()); });
+  res.all_decided = collect(
+      honest_ids(), [&](int i) { return node(i).mvba(); }, res.decisions,
+      &Fp::value);
   if (!res.decisions.empty()) res.value = res.decisions.begin()->second;
   res.agreed = res.all_decided && unanimous(res.decisions);
   res.metrics = cluster_->merged_metrics();
@@ -543,17 +472,13 @@ Runner::SumResult Runner::run_secure_sum(const std::vector<Fp>& inputs,
     });
   }
   SumResult res;
-  res.status = run_until_honest([](const Node& nd) {
-    return nd.secure_sum() != nullptr && nd.secure_sum()->has_output();
-  });
-  res.all_output = true;
+  res.status = run_until_honest(
+      [](const Node& nd) { return finished(nd.secure_sum()); });
+  res.all_output = collect(
+      honest_ids(), [&](int i) { return node(i).secure_sum(); }, res.outputs,
+      &Fp::value);
   for (int i : honest_ids()) {
     const SecureSumSession* s = node(i).secure_sum();
-    if (s != nullptr && s->has_output()) {
-      res.outputs.emplace(i, s->output().value());
-    } else {
-      res.all_output = false;
-    }
     if (s != nullptr && s->core()) res.cores.emplace(i, *s->core());
   }
   res.agreed = res.all_output && unanimous(res.outputs);

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -238,9 +239,52 @@ class Runner {
   // open(ctx, node) -> session.
   template <class Find, class Open>
   ShareResult share_then_reconstruct(bool reconstruct, Find find, Open open);
+  // run_aba / run_benor body: runs until every honest slot's agreement
+  // session get(node) (AbaSession, BenOrSession) decided, then collects.
+  template <class Get>
+  AbaResult run_agreement(Get get);
   // Routes a driver's start action to whatever occupies slot i (honest
   // Node or adversary strategy).
   void set_slot_start(int i, std::function<void(Context&, Node&)> action);
+
+  // --- the drivers' result helpers (here and core/epoch.cpp) ---
+  // Whether a driver's session (or nullptr) finished: decided() for the
+  // agreement sessions, has_output() for the rest.
+  template <class S>
+  static bool finished(const S* s) {
+    if constexpr (requires { s->decided(); }) {
+      return s != nullptr && s->decided();
+    } else {
+      return s != nullptr && s->has_output();
+    }
+  }
+  // The one output collector: into[i] = proj(out) for every slot i whose
+  // session get(i) finished, `out` being its decision() or output().  True
+  // iff every slot's session finished.
+  template <class V, class Get, class Proj = std::identity>
+  static bool collect(const std::vector<int>& slots, Get get,
+                      std::map<int, V>& into, Proj proj = {}) {
+    bool all = true;
+    for (int i : slots) {
+      const auto* s = get(i);
+      if (!finished(s)) {
+        all = false;
+      } else if constexpr (requires { s->decision(); }) {
+        into.emplace(i, std::invoke(proj, s->decision()));
+      } else {
+        into.emplace(i, std::invoke(proj, s->output()));
+      }
+    }
+    return all;
+  }
+  // True iff `out` is non-empty and every value in it is the same.
+  template <class V>
+  static bool unanimous(const std::map<int, V>& out) {
+    for (const auto& [i, v] : out) {
+      if (!(v == out.begin()->second)) return false;
+    }
+    return !out.empty();
+  }
 
   std::map<std::uint32_t, std::vector<int>> submitted_;
 

@@ -42,6 +42,13 @@ enum class SessionPath : std::uint8_t {
 // instance 0's bit stream is unchanged from single-instance runs.
 inline constexpr std::uint32_t kCoinRoundsPerInstance = 4096;
 
+// The one round bound of every layer: an agreement instance runs rounds
+// [1, kCoinRoundsPerInstance), so votes, coin broadcasts and coin contact
+// naming any other round are dropped and create no session.
+inline constexpr bool coin_round_ok(std::uint32_t round) {
+  return round >= 1 && round < kCoinRoundsPerInstance;
+}
+
 struct SessionId {
   SessionPath path = SessionPath::kTest;
   // For MW-SVSS-in-SVSS: 0 if the shared entry is f(moderator, dealer),

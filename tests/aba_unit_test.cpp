@@ -372,6 +372,38 @@ TEST_F(CoinJoin, ContactForUnenteredRoundStartsNothing) {
   EXPECT_FALSE(joined(node, 0, 1));
 }
 
+TEST_F(CoinJoin, CoinBroadcastPastTheRoundBoundCreatesNoSession) {
+  Context ctx = engine.host(0).ctx();
+  Node node(0, kN, kT, kBatched);
+  // An RB-delivered kCoin broadcast of a reachable round opens that
+  // round's session; one past the agreement's round bound opens nothing.
+  for (std::uint32_t r : {2u, 5000u}) {
+    Message m;
+    m.sid = coin_sid(r, /*instance=*/0);
+    m.type = MsgType::kCoinGset;
+    node.deliver_sub(ctx, 3, m, /*via_rb=*/true);
+  }
+  EXPECT_NE(node.find_coin(0, 2), nullptr);
+  EXPECT_EQ(node.find_coin(0, 5000), nullptr);
+}
+
+TEST_F(CoinJoin, AbaVoteWithStraySidFieldsCountsInItsInstance) {
+  Context ctx = engine.host(0).ctx();
+  Node node(0, kN, kT, kBatched);
+  node.start_aba(ctx, 0, CoinMode::kIdealCommon, 7, /*instance=*/3);
+  // EST(1) votes whose sids carry an owner or counter the canonical
+  // aba_sid(3) lacks still land in instance 3.
+  Message m = vote(1, 0, 1);
+  m.sid.instance = 3;
+  m.sid.owner = 2;
+  node.on_packet(ctx, 1, make_direct(m));
+  m.sid.owner = -1;
+  m.sid.counter = 9;
+  node.on_packet(ctx, 2, make_direct(m));
+  ASSERT_NE(node.aba(3), nullptr);
+  EXPECT_EQ(node.aba(3)->snapshot(1).est_senders[1], 2u);
+}
+
 TEST_F(CoinJoin, IdealCoinInstanceIgnoresContact) {
   Context ctx = engine.host(0).ctx();
   Node node(0, kN, kT, kBatched);

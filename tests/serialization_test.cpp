@@ -4,8 +4,25 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <utility>
 #include <vector>
+
+namespace {
+// The largest single allocation made while `g_track_allocs` is set, seen
+// through the replaced global operator new below.
+bool g_track_allocs = false;
+std::size_t g_largest_alloc = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_track_allocs && size > g_largest_alloc) g_largest_alloc = size;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace svss {
 namespace {
@@ -83,6 +100,25 @@ TEST(Serialization, LengthBombRejected) {
   EXPECT_FALSE(r2.int_vec().has_value());
   Reader r3(buf);
   EXPECT_FALSE(r3.bytes().has_value());
+}
+
+TEST(Serialization, ForgedLengthReservesNoMoreThanTheBuffer) {
+  // A length prefix of 2^20 (within max_len) over a 4-element body: the
+  // decode fails, and no allocation outgrows the 4 elements present.
+  Writer w;
+  w.u32(1u << 20);
+  for (int i = 0; i < 4; ++i) w.u32(7);
+  Bytes buf = std::move(w).take();
+  g_largest_alloc = 0;
+  g_track_allocs = true;
+  Reader r(buf);
+  const bool fields = r.field_vec().has_value();
+  Reader r2(buf);
+  const bool ints = r2.int_vec().has_value();
+  g_track_allocs = false;
+  EXPECT_FALSE(fields);
+  EXPECT_FALSE(ints);
+  EXPECT_LE(g_largest_alloc, 4 * sizeof(Fp));
 }
 
 TEST(Serialization, NonCanonicalFieldValueRejected) {
