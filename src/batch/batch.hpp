@@ -83,6 +83,36 @@ struct Shape {
   int t;
 };
 
+// The sub-messages of one unpacked envelope.  Slots outlive the envelope:
+// the next envelope decoded here overwrites them in place, so their
+// buffers are reused and the delivery path allocates only when an envelope
+// outgrows every earlier one.
+class SubMessages {
+ public:
+  // Appends a message carrying `sid` and `type` and every other field at
+  // its default, whatever the slot held before.
+  Message& add(const SessionId& sid, MsgType type) {
+    if (used_ == slots_.size()) slots_.emplace_back();
+    Message& m = slots_[used_++];
+    m.sid = sid;
+    m.type = type;
+    m.a = m.b = -1;
+    m.vals.clear();
+    m.ints.clear();
+    m.blob.clear();
+    return m;
+  }
+  void clear() { used_ = 0; }
+  [[nodiscard]] std::size_t size() const { return used_; }
+  [[nodiscard]] const Message& operator[](std::size_t i) const {
+    return slots_[i];
+  }
+
+ private:
+  std::vector<Message> slots_;
+  std::size_t used_ = 0;
+};
+
 }  // namespace batch
 
 class Batcher {
@@ -151,9 +181,15 @@ class Batcher {
   // a restarted sequence would reuse an RBC instance id.  (The MW client
   // has the most RB slots, five.)
   std::map<SessionId, std::array<std::uint32_t, 5>> flush_seq_;
-  // Sub-messages of the envelope being unpacked; empty between uses, its
-  // capacity reused across envelopes.
-  std::vector<Message> scratch_;
+  // Sub-message pools, one per unpack nesting depth: a sub-message's
+  // cascade may unpack another envelope while the outer one's subs are
+  // still being delivered.  The lone-entry passthrough decodes into the
+  // first depth not in use.  Pools only grow; their slots keep their
+  // buffers between envelopes.
+  std::vector<batch::SubMessages> pools_;
+  std::size_t depth_ = 0;  // unpacks in progress
+  // The pool at the current depth, created on first use.
+  batch::SubMessages& free_pool();
 };
 
 // ---------------------------------------------------------------------

@@ -108,16 +108,15 @@ void Batcher::flush(Context& ctx, int client, Group& g, std::size_t k) {
   const int to = rb ? batch::kBroadcast : static_cast<int>(k);
   if (b.count == 1 && codec.lone_passthrough) {
     // A lone entry gains nothing from an envelope: it leaves as the
-    // per-session message it was captured from.  (unpack takes the
-    // scratch buffer while it dispatches, so it is free here.)
-    if (codec.unpack(shape_, b.env, rb, scratch_)) {
+    // per-session message it was captured from.
+    batch::SubMessages& lone = free_pool();
+    if (codec.unpack(shape_, b.env, rb, lone)) {
       if (rb) {
-        host_.emit_rb(ctx, scratch_[0]);
+        host_.emit_rb(ctx, lone[0]);
       } else {
-        host_.emit_direct(ctx, to, std::move(scratch_[0]));
+        host_.emit_direct(ctx, to, lone[0]);
       }
     }
-    scratch_.clear();
   } else if (rb) {
     codec.seal(b.env, codec.when_complete ? 0 : flush_seq_[g.key][k - n]++);
     host_.emit_rb(ctx, b.env);
@@ -133,18 +132,28 @@ void Batcher::flush(Context& ctx, int client, Group& g, std::size_t k) {
   b.count = 0;
 }
 
+batch::SubMessages& Batcher::free_pool() {
+  if (depth_ == pools_.size()) pools_.emplace_back();
+  batch::SubMessages& pool = pools_[depth_];
+  pool.clear();
+  return pool;
+}
+
 bool Batcher::unpack(Context& ctx, int sender, const Message& env,
                      bool via_rb) {
   const int c = client(env.type, /*envelope=*/true);
   if (c < 0) return false;
-  // Taken, not borrowed: a sub-message's cascade may unpack again.
-  std::vector<Message> subs = std::move(scratch_);
+  const std::size_t depth = depth_;
   if (kCodecs[static_cast<std::size_t>(c)]->unpack(shape_, env, via_rb,
-                                                   subs)) {
-    for (const Message& sub : subs) host_.deliver_sub(ctx, sender, sub, via_rb);
+                                                   free_pool())) {
+    ++depth_;
+    // Indexed afresh per sub: a nested unpack may grow pools_, which moves
+    // the pools but not the sub-messages their slots own.
+    for (std::size_t i = 0; i < pools_[depth].size(); ++i) {
+      host_.deliver_sub(ctx, sender, pools_[depth][i], via_rb);
+    }
+    --depth_;
   }
-  subs.clear();
-  scratch_ = std::move(subs);
   return true;
 }
 

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "batch/batch.hpp"
 
@@ -39,10 +38,10 @@ struct Codec {
   bool (*pack)(const Shape& node, Message& env, const Message& m);
   // Final touch of an RB envelope before it leaves (flush sequence).
   void (*seal)(Message& env, std::uint32_t seq);
-  // Unpacking: every sub-message of `env` into `out`, or false when the
-  // envelope is malformed.
+  // Unpacking: every sub-message of `env` appended to `out`, or false
+  // when the envelope is malformed.
   bool (*unpack)(const Shape& node, const Message& env, bool via_rb,
-                 std::vector<Message>& out);
+                 SubMessages& out);
 
   [[nodiscard]] bool captures(MsgType type) const {
     return type >= first_captured && type <= last_captured;
@@ -61,15 +60,6 @@ struct Codec {
 extern const Codec kVoteCodec;
 extern const Codec kMwCodec;
 extern const Codec kCoinCodec;
-
-// Appends a default message carrying `sid` and `type` to `out`.
-inline Message& add_sub(std::vector<Message>& out, const SessionId& sid,
-                        MsgType type) {
-  Message& m = out.emplace_back();
-  m.sid = sid;
-  m.type = type;
-  return m;
-}
 
 // The MW envelope sid of a coin-nested child's group (variant 2 + v,
 // counter at the attachee-0 slot), and the child sid of attachee j.

@@ -81,7 +81,7 @@ void seal(Message& env, std::uint32_t /*seq*/) {
 }
 
 bool unpack(const Shape& node, const Message& env, bool via_rb,
-            std::vector<Message>& out) {
+            SubMessages& out) {
   if (env.sid.path != SessionPath::kSvssCoin || env.sid.variant != 1 ||
       env.sid.counter % kMaxN != 0) {
     return false;
@@ -97,7 +97,7 @@ bool unpack(const Shape& node, const Message& env, bool via_rb,
       auto first =
           env.vals.begin() + static_cast<std::ptrdiff_t>(
                                  static_cast<std::size_t>(j) * per);
-      add_sub(out, sibling(env.sid, j), MsgType::kSvssDealerShares)
+      out.add(sibling(env.sid, j), MsgType::kSvssDealerShares)
           .vals.assign(first, first + static_cast<std::ptrdiff_t>(per));
     }
     return true;
@@ -106,12 +106,11 @@ bool unpack(const Shape& node, const Message& env, bool via_rb,
   if (!via_rb || !env.vals.empty() || !env.ints.empty()) return false;
   Reader r(env.blob);
   for (int j = 0; j < node.n; ++j) {
-    auto g = r.int_vec(static_cast<std::size_t>(node.n));
-    auto blob = r.bytes();
-    if (!g || !blob) return false;
-    Message& sub = add_sub(out, sibling(env.sid, j), MsgType::kSvssGset);
-    sub.ints = std::move(*g);
-    sub.blob = std::move(*blob);
+    Message& sub = out.add(sibling(env.sid, j), MsgType::kSvssGset);
+    if (!r.int_vec(sub.ints, static_cast<std::size_t>(node.n)) ||
+        !r.bytes(sub.blob)) {
+      return false;
+    }
   }
   return r.exhausted();
 }

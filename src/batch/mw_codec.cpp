@@ -96,7 +96,7 @@ void seal(Message& env, std::uint32_t seq) {
 }
 
 bool unpack(const Shape& node, const Message& env, bool via_rb,
-            std::vector<Message>& out) {
+            SubMessages& out) {
   // Role pids were vetted by the host's sid check; the sub-sessions
   // re-enter full per-session validation.
   if (env.sid.path != SessionPath::kMwInSvssCoin || env.sid.variant < 2 ||
@@ -134,7 +134,7 @@ bool unpack(const Shape& node, const Message& env, bool via_rb,
           return false;
         }
         auto first = env.vals.begin() + static_cast<std::ptrdiff_t>(cursor);
-        add_sub(out, mw_child_sid(env.sid, r[i + 1]), type)
+        out.add(mw_child_sid(env.sid, r[i + 1]), type)
             .vals.assign(first, first + len);
         cursor += static_cast<std::size_t>(len);
       }
@@ -145,7 +145,7 @@ bool unpack(const Shape& node, const Message& env, bool via_rb,
       if (!env.vals.empty()) return false;
       for (int j : r) {
         if (!claim(rb_type, j)) return false;
-        add_sub(out, mw_child_sid(env.sid, j), rb_type);
+        out.add(mw_child_sid(env.sid, j), rb_type);
       }
       return true;
     }
@@ -161,7 +161,7 @@ bool unpack(const Shape& node, const Message& env, bool via_rb,
           return false;
         }
         auto first = r.begin() + static_cast<std::ptrdiff_t>(i + 2);
-        add_sub(out, mw_child_sid(env.sid, r[i]), rb_type)
+        out.add(mw_child_sid(env.sid, r[i]), rb_type)
             .ints.assign(first, first + len);
         i += 2 + static_cast<std::size_t>(len);
       }
@@ -183,8 +183,7 @@ bool unpack(const Shape& node, const Message& env, bool via_rb,
                           static_cast<std::size_t>(l);
         if (recon_seen[bit]) return false;
         recon_seen[bit] = true;
-        Message& sub = add_sub(out, mw_child_sid(env.sid, j),
-                               MsgType::kMwReconVal);
+        Message& sub = out.add(mw_child_sid(env.sid, j), MsgType::kMwReconVal);
         sub.a = static_cast<std::int16_t>(l);
         sub.vals.push_back(env.vals[i]);
       }

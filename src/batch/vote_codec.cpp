@@ -25,10 +25,9 @@ bool direct_subtype(int subtype) {
   return subtype == 0 || subtype == 1 || subtype == 3;
 }
 
-void add_vote(std::vector<Message>& out, int instance, int round,
-              int subtype, int value) {
-  Message& m = add_sub(out,
-                       SessionId{SessionPath::kAba, 0, -1, -1, -1, 0,
+void add_vote(SubMessages& out, int instance, int round, int subtype,
+              int value) {
+  Message& m = out.add(SessionId{SessionPath::kAba, 0, -1, -1, -1, 0,
                                  static_cast<std::uint32_t>(instance)},
                        MsgType::kAbaVote);
   m.a = static_cast<std::int16_t>(round);
@@ -67,7 +66,7 @@ bool pack(const Shape&, Message& env, const Message& m) {
 void seal(Message& env, std::uint32_t seq) { env.sid.counter = seq; }
 
 bool unpack(const Shape&, const Message& env, bool via_rb,
-            std::vector<Message>& out) {
+            SubMessages& out) {
   const SessionId& sid = env.sid;
   if (sid.path != SessionPath::kAba || sid.variant != 4 || sid.owner != -1 ||
       sid.moderator != -1 || sid.svss_dealer != -1 || sid.instance != 0 ||

@@ -1,5 +1,6 @@
 #include "common/polynomial.hpp"
 
+#include <array>
 #include <cassert>
 #include <stdexcept>
 
@@ -32,12 +33,15 @@ FieldVec Polynomial::evaluate_range(int count) const {
 }
 
 Polynomial Polynomial::interpolate(
-    const std::vector<std::pair<Fp, Fp>>& points) {
+    std::span<const std::pair<Fp, Fp>> points) {
   if (points.empty()) throw std::invalid_argument("interpolate: no points");
   const std::size_t k = points.size();
-  // One scratch allocation: inv, prefix and basis, k entries each.
-  FieldVec scratch(3 * k);
-  Fp* inv = scratch.data();
+  // Scratch for inv, prefix and basis, k entries each: on the stack for
+  // every degree up to kStackPoints - 1, else one allocation.
+  constexpr std::size_t kStackPoints = 32;
+  std::array<Fp, 3 * kStackPoints> stack;
+  FieldVec heap(k > kStackPoints ? 3 * k : 0);
+  Fp* inv = k > kStackPoints ? heap.data() : stack.data();
   Fp* prefix = inv + k;
   Fp* basis = prefix + k;
   // inv[i] = 1 / prod_{j != i} (x_i - x_j), all k inverted with one field
@@ -80,6 +84,15 @@ Polynomial Polynomial::interpolate(
   return Polynomial(std::move(result));
 }
 
+Polynomial Polynomial::interpolate_consecutive(std::span<const Fp> ys) {
+  std::vector<std::pair<Fp, Fp>> points;
+  points.reserve(ys.size());
+  for (std::size_t i = 0; i < ys.size(); ++i) {
+    points.emplace_back(Fp(static_cast<std::int64_t>(i + 1)), ys[i]);
+  }
+  return interpolate(points);
+}
+
 Fp Polynomial::interpolate_at_zero(std::span<const std::pair<Fp, Fp>> points) {
   if (points.empty()) throw std::invalid_argument("interpolate: no points");
   // f(0) = sum_i y_i * prod_{j != i} x_j / (x_j - x_i), summed as one
@@ -104,9 +117,8 @@ Fp Polynomial::interpolate_at_zero(std::span<const std::pair<Fp, Fp>> points) {
 std::optional<Polynomial> Polynomial::interpolate_checked(
     const std::vector<std::pair<Fp, Fp>>& points, int deg) {
   if (static_cast<int>(points.size()) < deg + 1) return std::nullopt;
-  std::vector<std::pair<Fp, Fp>> head(points.begin(),
-                                      points.begin() + deg + 1);
-  Polynomial p = interpolate(head);
+  Polynomial p =
+      interpolate(std::span(points).first(static_cast<std::size_t>(deg) + 1));
   for (const auto& [x, y] : points) {
     if (p.eval(x) != y) return std::nullopt;
   }

@@ -30,7 +30,10 @@ class Polynomial {
   // Lagrange interpolation through distinct-x points.  Number of points
   // determines the degree bound (k points -> degree <= k-1).  Throws
   // std::invalid_argument on no points or a duplicate x.
-  static Polynomial interpolate(const std::vector<std::pair<Fp, Fp>>& points);
+  static Polynomial interpolate(std::span<const std::pair<Fp, Fp>> points);
+  // interpolate() through (1, ys[0]), (2, ys[1]), ..., (k, ys[k-1]): the
+  // shape every dealt share vector has.
+  static Polynomial interpolate_consecutive(std::span<const Fp> ys);
 
   // interpolate(points).constant() without building the polynomial: the
   // Lagrange form evaluated at 0, with one field inversion.  Same throws.

@@ -24,6 +24,9 @@ class Writer {
   Writer() = default;
   // Appends to an existing buffer.
   explicit Writer(Bytes buf) : buf_(std::move(buf)) {}
+  // Sizes the buffer for `n` more bytes, so a writer that knows its output
+  // size allocates once.
+  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -89,6 +92,12 @@ class Reader {
   std::optional<FieldVec> field_vec(std::size_t max_len = 1 << 20);
   std::optional<std::vector<int>> int_vec(std::size_t max_len = 1 << 20);
   std::optional<Bytes> bytes(std::size_t max_len = 1 << 24);
+  // The same decoders into a caller's buffer, which keeps its capacity: the
+  // delivery path parses into reused messages.  On false, `out` holds a
+  // partial value.
+  bool field_vec(FieldVec& out, std::size_t max_len = 1 << 20);
+  bool int_vec(std::vector<int>& out, std::size_t max_len = 1 << 20);
+  bool bytes(Bytes& out, std::size_t max_len = 1 << 24);
 
   [[nodiscard]] bool exhausted() const { return pos_ == buf_.size(); }
   // Bytes not yet read: an upper bound for decoders sizing a buffer from a

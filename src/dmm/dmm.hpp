@@ -30,10 +30,10 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "common/field.hpp"
+#include "common/flat_map.hpp"
 #include "sim/engine.hpp"
 #include "sim/message.hpp"
 
@@ -119,50 +119,64 @@ class Dmm {
   [[nodiscard]] std::vector<OpenEntry> blocking_entries() const;
 
  private:
-  struct AckKey {
-    int sender;
-    int poly;
-    SessionId sid;
-    friend auto operator<=>(const AckKey&, const AckKey&) = default;
+  // One (process, polynomial index, value) fact of a session: an open ACK
+  // expectation (the process owes "f_poly(process) = x"), an open DEAL
+  // expectation (poly kDeal: the polynomial is always this process's own),
+  // or a reconstruct broadcast already received.
+  static constexpr int kDeal = -1;
+  struct Fact {
+    std::int16_t sender;
+    std::int16_t poly;
+    Fp x;
   };
-  struct AckKeyHash {
-    std::size_t operator()(const AckKey& k) const {
-      std::size_t h = SessionIdHash{}(k.sid);
-      h = h * 0x100000001B3ULL ^ static_cast<std::size_t>(k.sender + 1);
-      h = h * 0x100000001B3ULL ^ static_cast<std::size_t>(k.poly + 1);
-      return h;
-    }
+  // Facts sorted by (sender, poly), at most one per key: a session holds at
+  // most n^2 + n of them, so a sorted vector beats any node container.
+  using Facts = std::vector<Fact>;
+  // Everything DMM knows about one session.
+  struct SessionState {
+    // ->_i bookkeeping: completions_ when the session began locally
+    // (kUnborn until then), and its 1-based completion order (0 = open).
+    std::uint64_t birth = kUnborn;
+    std::uint64_t done = 0;
+    // Open ACK and DEAL expectations.  A sender's open count in this
+    // session is the length of its run.
+    Facts open;
+    // Reconstruct broadcasts received while the session is open; consulted
+    // when expectations are added late, freed at completion (no
+    // expectations are added past that point).
+    Facts seen;
   };
-  struct DealKey {
-    int sender;
-    SessionId sid;
-    friend auto operator<=>(const DealKey&, const DealKey&) = default;
-    friend bool operator==(const DealKey&, const DealKey&) = default;
-  };
-  struct DealKeyHash {
-    std::size_t operator()(const DealKey& k) const {
-      return SessionIdHash{}(k.sid) * 0x100000001B3ULL ^
-             static_cast<std::size_t>(k.sender + 1);
-    }
-  };
+  static constexpr std::uint64_t kUnborn = ~std::uint64_t{0};
   struct Delayed {
     int from;
     bool via_rb;
     Message msg;
   };
 
+  // The fact keyed (sender, poly), or nullptr.
+  static Fact* find(Facts& facts, int sender, int poly);
+  // Adds a fact unless its key is present (the first value stays).  An
+  // empty list first reserves `room` facts, its expected peak, so a
+  // session's list is allocated once.
+  static void insert(Facts& facts, int sender, int poly, Fp x,
+                     std::size_t room);
+  // True iff some fact names `sender`.
+  static bool names(const Facts& facts, int sender);
+
   void add_to_d(Context& ctx, int j, const SessionId& where);
   // True iff session s precedes s' in ->_i given current begin/complete
   // bookkeeping.
   [[nodiscard]] bool precedes(const SessionId& s, const SessionId& s2) const;
-  void note_expectation(int sender, const SessionId& sid);
-  void drop_expectation(Context& ctx, int sender, const SessionId& sid);
+  // Removes the open expectation (sender, poly) of `sid`; if it was the
+  // sender's last one there, retracts the session from the sender's
+  // blocking orders.  Then re-tests the sender's delayed messages.
+  void resolve(Context& ctx, int sender, int poly, const SessionId& sid);
   void flush_delayed(Context& ctx, int sender);
 
   // Per-sender state lives in vectors indexed by process id, and
-  // session-keyed state in hash maps: DMM sits on the delivery hot path
-  // (every VSS message passes filter(), every recon broadcast passes rules
-  // 2-3), where ordered-map SessionId comparisons used to dominate.
+  // session-keyed state in one flat table: DMM sits on the delivery hot
+  // path (every VSS message passes filter(), every recon broadcast passes
+  // rules 2-3), and a node container there allocates per expectation.
   template <typename T>
   static T& at_sender(std::vector<T>& v, int sender) {
     if (v.size() <= static_cast<std::size_t>(sender)) {
@@ -174,33 +188,17 @@ class Dmm {
   Hooks hooks_;
   std::set<int> d_;
   std::map<int, SessionId> anchor_;  // first detection session per suspect
-  // Senders with live DEAL entries per session (step-8 bulk removal).
-  std::unordered_map<SessionId, std::set<int>, SessionIdHash>
-      deal_senders_by_session_;
-  std::unordered_map<AckKey, Fp, AckKeyHash> ack_;
-  std::unordered_map<DealKey, Fp, DealKeyHash> deal_;
-  // Per-sender count of unresolved expectations per session, to make the
-  // blocking test cheap.  Indexed by sender id (grown on demand).
-  std::vector<std::unordered_map<SessionId, int, SessionIdHash>>
-      open_by_sender_;
-  // Completion orders of *completed* sessions that still hold unresolved
-  // expectations, per sender.  The rule-5 test reduces to comparing the
-  // minimum against the target session's birth — O(log) instead of a scan
-  // over every open session (which dominates runtime at coin scale).
-  std::vector<std::multiset<std::uint64_t>> blocking_orders_;
+  // Every session DMM has heard of.  References die at the next insertion,
+  // and any hook may insert (redelivery re-enters DMM), so no reference is
+  // held across a hook call.
+  FlatMap<SessionId, SessionState, SessionIdHash> sessions_;
+  // Completion orders of *completed* sessions that still hold open
+  // expectations about the sender, sorted ascending (a multiset).  The
+  // rule-5 test reduces to comparing the minimum against the target
+  // session's birth instead of scanning every open session.
+  std::vector<std::vector<std::uint64_t>> blocking_orders_;
   std::vector<std::vector<Delayed>> delayed_;
-  // ->_i bookkeeping: completion_order is 1-based and increasing; birth is
-  // the completion counter value when the session began locally.
-  std::unordered_map<SessionId, std::uint64_t, SessionIdHash> completion_order_;
-  std::unordered_map<SessionId, std::uint64_t, SessionIdHash> birth_;
   std::uint64_t completions_ = 0;
-  // Reconstruct broadcasts already received, per live session:
-  // (origin, poly) -> value.  Consulted when expectations are added late;
-  // garbage-collected when the session completes locally (no expectations
-  // are added past that point).
-  std::unordered_map<SessionId, std::map<std::pair<int, int>, Fp>,
-                     SessionIdHash>
-      seen_recon_;
 };
 
 }  // namespace svss

@@ -87,11 +87,7 @@ void MwSvssSession::on_direct(Context& ctx, int from, const Message& m) {
           static_cast<int>(m.vals.size()) != t_ + 1) {
         return;
       }
-      std::vector<std::pair<Fp, Fp>> pts;
-      for (int x = 1; x <= t_ + 1; ++x) {
-        pts.emplace_back(Fp(x), m.vals[static_cast<std::size_t>(x - 1)]);
-      }
-      my_poly_ = Polynomial::interpolate(pts);
+      my_poly_ = Polynomial::interpolate_consecutive(m.vals);
       steps = kEcho | kConfirm;
       break;
     }
@@ -100,11 +96,7 @@ void MwSvssSession::on_direct(Context& ctx, int from, const Message& m) {
           static_cast<int>(m.vals.size()) != t_ + 1) {
         return;
       }
-      std::vector<std::pair<Fp, Fp>> pts;
-      for (int x = 1; x <= t_ + 1; ++x) {
-        pts.emplace_back(Fp(x), m.vals[static_cast<std::size_t>(x - 1)]);
-      }
-      whole_poly_ = Polynomial::interpolate(pts);
+      whole_poly_ = Polynomial::interpolate_consecutive(m.vals);
       steps = kModerate;
       break;
     }

@@ -11,6 +11,19 @@ void Rbc::broadcast(Context& ctx, const Message& m) {
   ctx.send_all(make_rb(bid, RbPhase::kSend, m.serialize()));
 }
 
+Rbc::ValueVotes& Rbc::Instance::votes_for(const Packet& p) {
+  static const Bytes kEmpty;
+  const Bytes& bytes = p.rb_payload();
+  for (ValueVotes& v : votes) {
+    // An honest burst shares one buffer: the pointer usually decides.
+    if (v.value == p.value || (v.value ? *v.value : kEmpty) == bytes) {
+      return v;
+    }
+  }
+  votes.push_back(ValueVotes{p.value, {}, {}});
+  return votes.back();
+}
+
 void Rbc::on_transport(Context& ctx, int from, const Packet& p) {
   if (!p.is_rb) return;
   const BcastId& bid = p.bid;
@@ -32,7 +45,7 @@ void Rbc::on_transport(Context& ctx, int from, const Packet& p) {
       return;
     }
     case RbPhase::kEcho: {
-      ValueVotes& votes = inst.votes_for(p.rb_payload());
+      ValueVotes& votes = inst.votes_for(p);
       if (!votes.echoes.insert(from)) return;
       // WRB step 3: n-t matching echoes -> WRB-accept; RB step 2: send
       // ready for the WRB-accepted value.
@@ -43,7 +56,7 @@ void Rbc::on_transport(Context& ctx, int from, const Packet& p) {
       return;
     }
     case RbPhase::kReady: {
-      ValueVotes& votes = inst.votes_for(p.rb_payload());
+      ValueVotes& votes = inst.votes_for(p);
       if (!votes.readies.insert(from)) return;
       int readies = votes.readies.count();
       // RB step 3: t+1 readies amplify.
@@ -52,32 +65,33 @@ void Rbc::on_transport(Context& ctx, int from, const Packet& p) {
         ctx.send_all(make_rb(bid, RbPhase::kReady, p.value));
       }
       // RB step 4: n-t readies accept.
-      maybe_accept(ctx, bid, inst, p.rb_payload(), readies);
+      maybe_accept(ctx, bid, inst, p, readies);
       return;
     }
   }
 }
 
 void Rbc::maybe_accept(Context& ctx, const BcastId& bid, Instance& inst,
-                       const Bytes& value, int ready_count) {
+                       const Packet& p, int ready_count) {
   if (inst.accepted || ready_count < ctx.n() - ctx.t()) {
     return;
   }
   inst.accepted = true;
   // Free the per-value tallies; the instance record stays as an accept
   // marker.
-  auto msg = Message::deserialize(value);
   inst.votes.clear();
   inst.votes.shrink_to_fit();
 
+  // Taken, not borrowed: the delivery's cascade may accept again.
+  Message msg = std::move(accepted_);
   // A Byzantine origin can get garbage accepted, or a message whose header
   // does not match the slot it was broadcast under.  All nonfaulty
   // processes parse the same bytes, so they all drop it consistently.
-  if (!msg || !(msg->sid == bid.sid) || msg->type != bid.slot ||
-      msg->a != bid.a) {
-    return;
+  if (msg.parse(p.rb_payload()) && msg.sid == bid.sid &&
+      msg.type == bid.slot && msg.a == bid.a) {
+    deliver_(ctx, bid.origin, msg);
   }
-  deliver_(ctx, bid.origin, *msg);
+  accepted_ = std::move(msg);
 }
 
 }  // namespace svss

@@ -21,11 +21,15 @@
 // instances live in a flat open-addressing table (one hash probe per
 // packet, no node allocations) and per-value sender sets are ProcSets
 // (common/proc_set.hpp): fixed-width bitsets, since process ids are
-// bounded by kMaxN.
+// bounded by kMaxN.  A value is held as the shared payload it arrived in
+// (every echo and ready of one honest burst shares one buffer), so tallying
+// it copies nothing and matching it is mostly a pointer compare; accepted
+// values parse into one reused Message.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -57,7 +61,7 @@ class Rbc {
   // instance sees exactly one value, so values live in a small vector
   // scanned linearly.
   struct ValueVotes {
-    Bytes value;
+    std::shared_ptr<const Bytes> value;  // null reads as empty
     ProcSet echoes;
     ProcSet readies;
   };
@@ -68,20 +72,18 @@ class Rbc {
     bool accepted = false;
     std::vector<ValueVotes> votes;
 
-    ValueVotes& votes_for(const Bytes& value) {
-      for (ValueVotes& v : votes) {
-        if (v.value == value) return v;
-      }
-      votes.push_back(ValueVotes{value, {}, {}});
-      return votes.back();
-    }
+    // The tally of p's value, added if new.
+    ValueVotes& votes_for(const Packet& p);
   };
 
   void maybe_accept(Context& ctx, const BcastId& bid, Instance& inst,
-                    const Bytes& value, int ready_count);
+                    const Packet& p, int ready_count);
 
   DeliverFn deliver_;
   FlatMap<BcastId, Instance, BcastIdHash> instances_;
+  // The accepted value being delivered; its buffers are reused across
+  // accepts.
+  Message accepted_;
 };
 
 }  // namespace svss

@@ -76,6 +76,7 @@ std::optional<SessionId> read_sid(Reader& r) {
 
 Bytes Message::serialize() const {
   Writer w;
+  w.reserve(serialized_size());
   write_sid(w, sid);
   w.u8(static_cast<std::uint8_t>(type));
   w.i32(a);
@@ -86,26 +87,26 @@ Bytes Message::serialize() const {
   return std::move(w).take();
 }
 
-std::optional<Message> Message::deserialize(const Bytes& raw) {
+bool Message::parse(const Bytes& raw) {
   Reader r(raw);
-  auto sid = read_sid(r);
-  auto type = r.u8();
-  auto a = r.i32();
-  auto b = r.i32();
-  auto vals = r.field_vec();
-  auto ints = r.int_vec();
-  auto blob = r.bytes();
-  if (!sid || !type || !a || !b || !vals || !ints || !blob || !r.exhausted()) {
-    return std::nullopt;
+  auto s = read_sid(r);
+  auto t = r.u8();
+  auto x = r.i32();
+  auto y = r.i32();
+  if (!s || !t || !x || !y || !r.field_vec(vals) || !r.int_vec(ints) ||
+      !r.bytes(blob) || !r.exhausted()) {
+    return false;
   }
+  sid = *s;
+  type = static_cast<MsgType>(*t);
+  a = static_cast<std::int16_t>(*x);
+  b = static_cast<std::int16_t>(*y);
+  return true;
+}
+
+std::optional<Message> Message::deserialize(const Bytes& raw) {
   Message m;
-  m.sid = *sid;
-  m.type = static_cast<MsgType>(*type);
-  m.a = static_cast<std::int16_t>(*a);
-  m.b = static_cast<std::int16_t>(*b);
-  m.vals = std::move(*vals);
-  m.ints = std::move(*ints);
-  m.blob = std::move(*blob);
+  if (!m.parse(raw)) return std::nullopt;
   return m;
 }
 

@@ -161,6 +161,10 @@ struct Message {
 
   [[nodiscard]] Bytes serialize() const;
   static std::optional<Message> deserialize(const Bytes& raw);
+  // deserialize() into this message, reusing its buffers (the RB accept
+  // path parses every accepted value into one).  On false the message
+  // holds a partial value.
+  bool parse(const Bytes& raw);
 
   // Exact size of serialize()'s output, computed without allocating.  The
   // engine meters every enqueued packet, so this must stay in sync with

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 
 namespace svss {
 
@@ -61,14 +62,9 @@ void SvssSession::on_direct(Context& ctx, int from, const Message& m) {
       static_cast<int>(m.vals.size()) != 2 * (t_ + 1)) {
     return;
   }
-  std::vector<std::pair<Fp, Fp>> gp;
-  std::vector<std::pair<Fp, Fp>> hp;
-  for (int x = 1; x <= t_ + 1; ++x) {
-    gp.emplace_back(Fp(x), m.vals[static_cast<std::size_t>(x - 1)]);
-    hp.emplace_back(Fp(x), m.vals[static_cast<std::size_t>(t_ + x)]);
-  }
-  g_ = Polynomial::interpolate(gp);
-  h_ = Polynomial::interpolate(hp);
+  const auto half = static_cast<std::size_t>(t_ + 1);
+  g_ = Polynomial::interpolate_consecutive(std::span(m.vals).first(half));
+  h_ = Polynomial::interpolate_consecutive(std::span(m.vals).subspan(half));
   start_children(ctx);
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -625,6 +626,117 @@ TEST(BatchCodec, MalformedEnvelopesDeliverNothing) {
   for (const Malformed& row : malformed_rows()) {
     EXPECT_TRUE(unpack_all(row.env, row.via_rb).empty()) << row.name;
   }
+}
+
+// ---------------------------------------------------------------------
+// Pooled unpack: one Batcher decodes every envelope into the same slots
+// ---------------------------------------------------------------------
+
+// A receiver that keeps one Batcher across envelopes.  on_sub, if set,
+// runs inside deliver_sub, after the sub is recorded.
+struct PooledReceiver : BatchHost {
+  ProcessWorld world{0, 4, 1};
+  Context ctx{world};
+  Batcher rx{*this, /*self=*/0, /*n=*/4, /*t=*/1, kAllBatched};
+  std::vector<Message> subs;
+  std::function<void(const Message&)> on_sub;
+
+  std::vector<Message> unpack(const Message& env, bool via_rb) {
+    subs.clear();
+    rx.unpack(ctx, /*sender=*/2, env, via_rb);
+    return subs;
+  }
+  void emit_direct(Context&, int, Message) override {}
+  void emit_rb(Context&, const Message&) override {}
+  void deliver_sub(Context&, int, const Message& sub, bool) override {
+    subs.push_back(sub);
+    if (on_sub) on_sub(sub);
+  }
+};
+
+TEST(PooledUnpack, ReusedSlotsCarryNoEarlierField) {
+  // A longer envelope first fills slots with a, vals, ints and blob; each
+  // later, shorter envelope must unpack exactly as on a fresh Batcher.
+  PooledReceiver rx;
+  const int echo = static_cast<int>(MsgType::kMwEchoVal);
+  const Message recon = envelope(MsgType::kMwBatchReconVal,
+                                 {0, 1, 1, 2, 2, 3, 3, 0},
+                                 {Fp(5), Fp(6), Fp(7), Fp(8)});
+  const Message lset =
+      envelope(MsgType::kMwBatchLset, {0, 3, 0, 1, 2, 1, 2, 1, 3});
+  const Message direct = envelope(MsgType::kMwBatchDirect,
+                                  {echo, 0, 2, echo, 1, 1},
+                                  {Fp(1), Fp(2), Fp(3)});
+  const Message ack = envelope(MsgType::kMwBatchAck, {3, 0});
+  Writer w;
+  for (int j = 0; j < 4; ++j) {
+    w.int_vec({0, 1, 2});
+    w.bytes({0xAB, static_cast<std::uint8_t>(j)});
+  }
+  Message gset = coin_envelope(MsgType::kSvssBatchGset);
+  gset.blob = w.data();
+  const Message votes =
+      vote_envelope(MsgType::kAbaBatchVote, {0, 1, 0, 1, 1, 2, 1, 0});
+
+  EXPECT_EQ(rx.unpack(gset, true).size(), 4u);
+  EXPECT_EQ(rx.unpack(recon, true).size(), 4u);
+  EXPECT_EQ(rx.unpack(lset, true).size(), 2u);
+  const std::vector<Message> acks = rx.unpack(ack, true);
+  ASSERT_EQ(acks.size(), 2u);
+  for (const Message& m : acks) {
+    EXPECT_EQ(m.type, MsgType::kMwAck);
+    EXPECT_EQ(m.a, -1);  // not the ReconVal's poly index
+    EXPECT_EQ(m.b, -1);
+    EXPECT_TRUE(m.vals.empty());
+    EXPECT_TRUE(m.ints.empty());
+    EXPECT_TRUE(m.blob.empty());
+  }
+  EXPECT_EQ(acks, unpack_all(ack, true));
+  EXPECT_EQ(rx.unpack(recon, true), unpack_all(recon, true));
+  EXPECT_EQ(rx.unpack(direct, false), unpack_all(direct, false));
+  EXPECT_EQ(rx.unpack(votes, false), unpack_all(votes, false));
+  EXPECT_EQ(rx.unpack(lset, true), unpack_all(lset, true));
+}
+
+TEST(PooledUnpack, MalformedEnvelopeAfterGoodOnesDeliversNothing) {
+  // Slots already hold the subs of earlier envelopes; a malformed one
+  // that decodes a valid prefix into them still delivers none.
+  PooledReceiver rx;
+  const Message ack = envelope(MsgType::kMwBatchAck, {0, 1, 2, 3});
+  ASSERT_EQ(rx.unpack(ack, true).size(), 4u);
+  EXPECT_TRUE(rx.unpack(envelope(MsgType::kMwBatchAck, {0, 1, 1}), true)
+                  .empty());
+  for (const Malformed& row : malformed_rows()) {
+    ASSERT_EQ(rx.unpack(ack, true).size(), 4u);
+    EXPECT_TRUE(rx.unpack(row.env, row.via_rb).empty()) << row.name;
+  }
+}
+
+TEST(PooledUnpack, NestedUnpackLeavesOuterSubsIntact) {
+  // The first sub of the outer envelope unpacks another envelope from
+  // inside its delivery, as a sub's cascade can; the outer subs after it
+  // must arrive unchanged.
+  PooledReceiver rx;
+  const Message outer = envelope(MsgType::kMwBatchReconVal,
+                                 {0, 1, 1, 2, 2, 3},
+                                 {Fp(5), Fp(6), Fp(7)});
+  const Message inner = envelope(MsgType::kMwBatchLset,
+                                 {0, 3, 0, 1, 2, 1, 2, 1, 3, 2, 1, 0, 3, 1, 2});
+  const std::vector<Message> outer_subs = unpack_all(outer, true);
+  const std::vector<Message> inner_subs = unpack_all(inner, true);
+  ASSERT_EQ(outer_subs.size(), 3u);
+  ASSERT_EQ(inner_subs.size(), 4u);
+  bool nested = false;
+  rx.on_sub = [&](const Message&) {
+    if (nested) return;
+    nested = true;
+    rx.rx.unpack(rx.ctx, /*sender=*/2, inner, /*via_rb=*/true);
+  };
+  const std::vector<Message> got = rx.unpack(outer, true);
+  std::vector<Message> want = {outer_subs[0]};
+  want.insert(want.end(), inner_subs.begin(), inner_subs.end());
+  want.insert(want.end(), outer_subs.begin() + 1, outer_subs.end());
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

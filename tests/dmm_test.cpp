@@ -5,6 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+#include <tuple>
+#include <vector>
+
+#include "dmm_reference.hpp"
 #include "sim/scheduler.hpp"
 
 namespace svss {
@@ -235,6 +242,141 @@ TEST_F(DmmFixture, RepeatedViolationsDetectOnlyOnce) {
   }
   EXPECT_EQ(shunned.size(), 1u);
   EXPECT_EQ(engine.log().shun_pairs().size(), 1u);
+}
+
+// Differential test: random call sequences drive Dmm and the literal rules
+// 1-5 reference (dmm_reference.hpp) side by side; every return value,
+// hook call and introspection result must agree after every step.
+void run_differential(int n, std::uint64_t seed) {
+  Engine engine(n, (n - 1) / 3, seed, std::make_unique<FifoScheduler>());
+  Context ctx(with_noops(engine).host(0).ctx());
+  using Call = std::tuple<int, SessionId, int>;  // (process, sid, type)
+  std::vector<Call> dmm_calls;
+  std::vector<Call> ref_calls;
+  Dmm dmm(Dmm::Hooks{
+      [&](Context&, int j, const SessionId& where) {
+        dmm_calls.emplace_back(j, where, -1);
+      },
+      [&](Context&, int from, const Message& m, bool) {
+        dmm_calls.emplace_back(from, m.sid, static_cast<int>(m.type));
+      }});
+  test::DmmReference ref(
+      ctx.self(),
+      [&](int j, const SessionId& where) {
+        ref_calls.emplace_back(j, where, -1);
+      },
+      [&](int from, const Message& m) {
+        ref_calls.emplace_back(from, m.sid, static_cast<int>(m.type));
+      });
+
+  std::mt19937_64 rng(seed);
+  auto pick = [&](int bound) {
+    return static_cast<int>(rng() % static_cast<std::uint64_t>(bound));
+  };
+  std::vector<SessionId> sids;
+  for (std::uint32_t c = 1; c <= 6; ++c) {
+    sids.push_back(mw_sid(c, static_cast<int>(c) % n, (c + 1) % n));
+  }
+  std::vector<SessionId> begun;
+  std::set<SessionId> completed;
+  // Values are mostly the sender's honest f_l(j), sometimes a lie.
+  auto value = [&](int j, int l, const SessionId& sid) {
+    const std::int64_t honest = 1 + j * 16 + l * 4 + sid.counter;
+    return Fp(pick(40) == 0 ? honest + 1 : honest);
+  };
+  for (int step = 0; step < 400; ++step) {
+    const SessionId& sid = sids[static_cast<std::size_t>(pick(6))];
+    const int j = pick(n);
+    const int l = pick(n);
+    switch (pick(8)) {
+      case 0:
+        dmm.note_begin(sid);
+        ref.note_begin(sid);
+        begun.push_back(sid);
+        break;
+      case 1:
+        // A session completes only after it began (every VSS session
+        // calls note_begin on construction).
+        if (!begun.empty()) {
+          const SessionId& b = begun[static_cast<std::size_t>(pick(
+              static_cast<int>(begun.size())))];
+          dmm.note_complete(b);
+          ref.note_complete(b);
+          completed.insert(b);
+        }
+        break;
+      case 2: {
+        // Expectations are registered in the share phase, before the
+        // session's reconstruct completes.
+        if (completed.count(sid) != 0) break;
+        Fp x = value(j, l, sid);
+        dmm.add_ack_entry(ctx, j, l, sid, x);
+        ref.add_ack_entry(j, l, sid, x);
+        break;
+      }
+      case 3: {
+        if (completed.count(sid) != 0) break;
+        Fp x = value(j, ctx.self(), sid);
+        dmm.add_deal_entry(ctx, j, sid, x);
+        ref.add_deal_entry(j, sid, x);
+        break;
+      }
+      case 4:
+        dmm.clear_deal_entries(ctx, sid);
+        ref.clear_deal_entries(sid);
+        break;
+      case 5:
+      case 6: {
+        Fp x = value(j, l, sid);
+        ASSERT_EQ(dmm.on_recon_value(ctx, j, sid, l, x),
+                  ref.on_recon_value(j, sid, l, x))
+            << "step " << step;
+        break;
+      }
+      default: {
+        Message m = mw_msg(sid, pick(2) == 0 ? MsgType::kMwAck
+                                             : MsgType::kMwOk);
+        ASSERT_EQ(dmm.filter(ctx, j, m, true), ref.filter(j, m))
+            << "step " << step;
+        break;
+      }
+    }
+    ASSERT_EQ(dmm_calls, ref_calls) << "step " << step;
+    ASSERT_EQ(dmm.detected(), ref.detected()) << "step " << step;
+    ASSERT_EQ(dmm.buffered_messages(), ref.buffered_messages())
+        << "step " << step;
+    for (int p = 0; p < n; ++p) {
+      ASSERT_EQ(dmm.pending_expectations(p), ref.pending_expectations(p))
+          << "step " << step << " sender " << p;
+      for (const SessionId& other : sids) {
+        ASSERT_EQ(dmm.is_blocked(p, other), ref.is_blocked(p, other))
+            << "step " << step;
+        ASSERT_EQ(dmm.discard_applies(p, other),
+                  ref.discard_applies(p, other))
+            << "step " << step;
+      }
+    }
+    std::vector<std::tuple<int, SessionId, bool>> blocking;
+    for (const Dmm::OpenEntry& e : dmm.blocking_entries()) {
+      blocking.emplace_back(e.sender, e.sid, e.is_ack);
+    }
+    std::sort(blocking.begin(), blocking.end());
+    ASSERT_EQ(blocking, ref.blocking_entries()) << "step " << step;
+  }
+}
+
+TEST(DmmDifferential, AgreesWithLiteralRulesAtN4) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    run_differential(4, seed);
+  }
+}
+
+TEST(DmmDifferential, AgreesWithLiteralRulesAtN7) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    run_differential(7, seed);
+  }
 }
 
 }  // namespace

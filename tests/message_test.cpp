@@ -46,6 +46,31 @@ TEST(Message, EmptyFieldsRoundTrip) {
   EXPECT_EQ(*rt, m);
 }
 
+TEST(Message, ParseIntoReusedMessageOverwritesEveryField) {
+  // The RB accept path parses every value into one Message: a longer
+  // earlier value must leave nothing behind, and a failed parse says so.
+  Message big;
+  big.sid = sample_sid();
+  big.type = MsgType::kMwReconVal;
+  big.a = 4;
+  big.b = 7;
+  big.vals = {Fp(10), Fp(20), Fp(30)};
+  big.ints = {1, 2, 3};
+  big.blob = {9, 8, 7};
+  Message small;
+  small.sid.path = SessionPath::kAba;
+  small.type = MsgType::kAbaVote;
+  small.ints = {1};
+  Message reused;
+  ASSERT_TRUE(reused.parse(big.serialize()));
+  EXPECT_EQ(reused, big);
+  ASSERT_TRUE(reused.parse(small.serialize()));
+  EXPECT_EQ(reused, small);
+  Bytes cut = big.serialize();
+  cut.pop_back();
+  EXPECT_FALSE(reused.parse(cut));
+}
+
 TEST(Message, TrailingGarbageRejected) {
   Message m;
   m.type = MsgType::kMwAck;

@@ -4,25 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
 #include <utility>
 #include <vector>
 
-namespace {
-// The largest single allocation made while `g_track_allocs` is set, seen
-// through the replaced global operator new below.
-bool g_track_allocs = false;
-std::size_t g_largest_alloc = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_track_allocs && size > g_largest_alloc) g_largest_alloc = size;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_count.hpp"
 
 namespace svss {
 namespace {
@@ -109,16 +94,20 @@ TEST(Serialization, ForgedLengthReservesNoMoreThanTheBuffer) {
   w.u32(1u << 20);
   for (int i = 0; i < 4; ++i) w.u32(7);
   Bytes buf = std::move(w).take();
-  g_largest_alloc = 0;
-  g_track_allocs = true;
-  Reader r(buf);
-  const bool fields = r.field_vec().has_value();
-  Reader r2(buf);
-  const bool ints = r2.int_vec().has_value();
-  g_track_allocs = false;
+  std::size_t largest = 0;
+  bool fields = true;
+  bool ints = true;
+  {
+    test::AllocCounter counter;
+    Reader r(buf);
+    fields = r.field_vec().has_value();
+    Reader r2(buf);
+    ints = r2.int_vec().has_value();
+    largest = counter.largest();
+  }
   EXPECT_FALSE(fields);
   EXPECT_FALSE(ints);
-  EXPECT_LE(g_largest_alloc, 4 * sizeof(Fp));
+  EXPECT_LE(largest, 4 * sizeof(Fp));
 }
 
 TEST(Serialization, NonCanonicalFieldValueRejected) {
