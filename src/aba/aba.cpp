@@ -1,5 +1,7 @@
 #include "aba/aba.hpp"
 
+#include <algorithm>
+
 namespace svss {
 
 SessionId aba_sid(std::uint32_t instance) {
@@ -33,41 +35,44 @@ AbaSession::AbaSession(AbaHost& host, int self, int n, int t, CoinMode mode,
       common_seed_(common_seed), instance_(instance) {}
 
 AbaSession::Round& AbaSession::round_state(std::uint32_t r) {
-  return rounds_[r];
+  // Votes mostly name the newest round: check it before searching.
+  if (!round_index_.empty() && round_index_.back().first == r) {
+    return rounds_[round_index_.back().second];
+  }
+  // Rounds are unique, so (r, 0) sorts at or before r's entry.
+  auto it = std::lower_bound(round_index_.begin(), round_index_.end(),
+                             std::pair<std::uint32_t, std::uint32_t>(r, 0));
+  if (it != round_index_.end() && it->first == r) return rounds_[it->second];
+  round_index_.emplace(it, r, static_cast<std::uint32_t>(rounds_.size()));
+  return rounds_.emplace_back();
 }
 
-// CONF sets over {0,1} travel as a 2-bit code.
-int AbaSession::encode_set(const std::set<int>& s) {
-  int code = 0;
-  for (int v : s) code |= 1 << v;
-  return code;
-}
-
-std::optional<std::set<int>> AbaSession::decode_set(int code) {
-  if (code < 1 || code > 3) return std::nullopt;
-  std::set<int> s;
-  if (code & 1) s.insert(0);
-  if (code & 2) s.insert(1);
-  return s;
+const AbaSession::Round* AbaSession::find_round(std::uint32_t r) const {
+  auto it = std::lower_bound(round_index_.begin(), round_index_.end(),
+                             std::pair<std::uint32_t, std::uint32_t>(r, 0));
+  if (it == round_index_.end() || it->first != r) return nullptr;
+  return &rounds_[it->second];
 }
 
 AbaSession::RoundSnapshot AbaSession::snapshot(std::uint32_t r) const {
   RoundSnapshot s;
-  auto it = rounds_.find(r);
-  if (it == rounds_.end()) return s;
-  const Round& st = it->second;
-  s.est_senders[0] = st.est_from[0].size();
-  s.est_senders[1] = st.est_from[1].size();
-  s.bin[0] = st.bin[0];
-  s.bin[1] = st.bin[1];
-  s.aux_sent = st.aux_sent;
-  s.aux_senders = st.aux_from.size();
-  s.v_frozen = st.v.has_value();
-  s.conf_sent = st.conf_sent;
-  s.conf_senders = st.conf_from.size();
-  s.conf_frozen = st.conf_frozen;
-  s.has_coin = st.coin.has_value();
-  s.coin_requested = st.coin_requested;
+  const Round* st = find_round(r);
+  if (st == nullptr) return s;
+  s.est_senders[0] = static_cast<std::size_t>(st->est_from[0].count());
+  s.est_senders[1] = static_cast<std::size_t>(st->est_from[1].count());
+  s.bin[0] = (st->bin & 1) != 0;
+  s.bin[1] = (st->bin & 2) != 0;
+  s.aux_sent = st->aux_sent;
+  s.aux_senders = static_cast<std::size_t>(st->aux_from[0].count() +
+                                           st->aux_from[1].count());
+  s.v_frozen = st->v != 0;
+  s.conf_sent = st->conf_sent;
+  for (const ProcSet& origins : st->conf_from) {
+    s.conf_senders += static_cast<std::size_t>(origins.count());
+  }
+  s.conf_frozen = st->conf_frozen;
+  s.has_coin = st->coin.has_value();
+  s.coin_requested = st->coin_requested;
   return s;
 }
 
@@ -103,31 +108,34 @@ void AbaSession::send_est(Context& ctx, std::uint32_t r, int v) {
   Round& st = round_state(r);
   if (st.est_sent[v]) return;
   st.est_sent[v] = true;
-  for (int to = 0; to < n_; ++to) {
-    host_.send_direct(ctx, to, vote_msg(instance_, r, 0, v));
-  }
+  send_all(ctx, r, 0, v);
+}
+
+void AbaSession::send_all(Context& ctx, std::uint32_t r, int subtype,
+                          int payload) {
+  const Message m = vote_msg(instance_, r, subtype, payload);
+  for (int to = 0; to < n_; ++to) host_.send_direct(ctx, to, m);
 }
 
 void AbaSession::on_direct(Context& ctx, int from, const Message& m) {
   if (m.type != MsgType::kAbaVote || m.ints.size() != 1) return;
+  if (from < 0 || from >= n_) return;
   auto r = static_cast<std::uint32_t>(m.a);
   if (!coin_round_ok(r)) return;
   int v = m.ints[0];
+  if (v != 0 && v != 1) return;
   switch (m.b) {
     case 0:  // EST
-      if (v != 0 && v != 1) return;
       round_state(r).est_from[v].insert(from);
       break;
-    case 1:  // AUX
-      if (v != 0 && v != 1) return;
-      round_state(r).aux_from.emplace(from, v);
+    case 1: {  // AUX: a sender's first one counts
+      Round& st = round_state(r);
+      if (!st.aux_from[1 - v].contains(from)) st.aux_from[v].insert(from);
       break;
+    }
     case 3:  // DECIDE
-      if (v != 0 && v != 1) return;
       decide_from_[v].insert(from);
-      if (static_cast<int>(decide_from_[v].size()) >= t_ + 1) {
-        decide(ctx, v);
-      }
+      if (decide_from_[v].count() >= t_ + 1) decide(ctx, v);
       break;
     default:
       return;
@@ -137,11 +145,16 @@ void AbaSession::on_direct(Context& ctx, int from, const Message& m) {
 
 void AbaSession::on_broadcast(Context& ctx, int origin, const Message& m) {
   if (m.type != MsgType::kAbaVote || m.b != 2 || m.ints.size() != 1) return;
+  if (origin < 0 || origin >= n_) return;
   auto r = static_cast<std::uint32_t>(m.a);
   if (!coin_round_ok(r)) return;
-  auto set = decode_set(m.ints[0]);
-  if (!set) return;
-  round_state(r).conf_from.emplace(origin, std::move(*set));
+  const int code = m.ints[0];
+  if (code < 1 || code > 3) return;
+  // An origin's first CONF counts.
+  Round& st = round_state(r);
+  bool seen = false;
+  for (const ProcSet& origins : st.conf_from) seen |= origins.contains(origin);
+  if (!seen) st.conf_from[code - 1].insert(origin);
   if (started_ && r == round_) progress(ctx);
 }
 
@@ -162,56 +175,47 @@ void AbaSession::progress(Context& ctx) {
 
     // Stage 1 — BV-broadcast: relay at t+1, accept into bin at 2t+1.
     for (int v = 0; v < 2; ++v) {
-      if (static_cast<int>(st.est_from[v].size()) >= t_ + 1) {
-        send_est(ctx, r, v);
-      }
-      if (!st.bin[v] &&
-          static_cast<int>(st.est_from[v].size()) >= 2 * t_ + 1) {
-        st.bin[v] = true;
+      if (st.est_from[v].count() >= t_ + 1) send_est(ctx, r, v);
+      if ((st.bin >> v & 1) == 0 && st.est_from[v].count() >= 2 * t_ + 1) {
+        st.bin = static_cast<std::uint8_t>(st.bin | 1 << v);
         if (!st.aux_sent) {
           st.aux_sent = true;
-          for (int to = 0; to < n_; ++to) {
-            host_.send_direct(ctx, to, vote_msg(instance_, r, 1, v));
-          }
+          send_all(ctx, r, 1, v);
         }
       }
     }
 
     // Stage 2 — AUX: freeze V as the union of n-t justified AUX values.
-    if (!st.v && st.aux_sent) {
-      std::set<int> vals;
+    if (st.v == 0 && st.aux_sent) {
       int count = 0;
-      for (const auto& [sender, v] : st.aux_from) {
-        if (st.bin[v]) {
-          ++count;
-          vals.insert(v);
+      std::uint8_t vals = 0;
+      for (int v = 0; v < 2; ++v) {
+        const int senders = st.aux_from[v].count();
+        if ((st.bin >> v & 1) != 0 && senders > 0) {
+          count += senders;
+          vals = static_cast<std::uint8_t>(vals | 1 << v);
         }
       }
-      if (count >= n_ - t_) st.v = std::move(vals);
+      if (count >= n_ - t_) st.v = vals;
     }
 
     // Stage 3 — CONF via RB.
-    if (st.v && !st.conf_sent) {
+    if (st.v != 0 && !st.conf_sent) {
       st.conf_sent = true;
-      host_.rb_broadcast(ctx, vote_msg(instance_, r, 2, encode_set(*st.v)));
+      host_.rb_broadcast(ctx, vote_msg(instance_, r, 2, st.v));
     }
-    if (!st.v) return;
+    if (st.v == 0) return;
     if (!st.conf_frozen) {
-      std::vector<const std::set<int>*> sample;
-      for (const auto& [origin, set] : st.conf_from) {
-        bool justified = true;
-        for (int v : set) {
-          if (!st.bin[v]) {
-            justified = false;
-            break;
-          }
-        }
-        if (justified) sample.push_back(&set);
+      // A CONF code is justified iff its values all lie in bin.
+      int sample = 0;
+      for (int code = 1; code <= 3; ++code) {
+        if ((code & ~st.bin) == 0) sample += st.conf_from[code - 1].count();
       }
-      if (static_cast<int>(sample.size()) < n_ - t_) return;
+      if (sample < n_ - t_) return;
       st.conf_frozen = true;
-      for (const auto* s : sample) {
-        if (s->size() == 1) st.singleton[*s->begin()]++;
+      // Code 1 << v is {v}, tallied at index v.
+      for (int v = 0; v < 2; ++v) {
+        if ((st.bin >> v & 1) != 0) st.singleton[v] = st.conf_from[v].count();
       }
     }
 
@@ -255,9 +259,7 @@ void AbaSession::decide(Context& ctx, int value) {
   host_.aba_decided(ctx, value, round_, instance_);
   if (!decide_sent_) {
     decide_sent_ = true;
-    for (int to = 0; to < n_; ++to) {
-      host_.send_direct(ctx, to, vote_msg(instance_, round_, 3, value));
-    }
+    send_all(ctx, round_, 3, value);
   }
 }
 

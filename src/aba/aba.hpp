@@ -38,13 +38,27 @@
 // DECIDE(v); t+1 matching announcements let others adopt the decision
 // directly.  Processes keep participating after deciding (the simulation
 // harness stops a run once every nonfaulty process has decided).
+//
+// Storage.  Every fact a round keeps is of one kind: which process first
+// voted which value.  Each is a bit in a ProcSet tally (EST(v) senders,
+// senders whose first AUX was v, origins whose first CONF carried code c,
+// and per session the DECIDE(v) senders), so a vote costs a word
+// operation and no allocation, and a threshold is a popcount.  Value sets
+// over {0,1} (bin_values, the frozen V, a CONF payload) are 2-bit codes,
+// bit v standing for value v.  A CONF code is justified iff it is a subset
+// of bin_values, so the stage-2 and stage-3 quotas are sums of justified
+// tallies, read without rescanning any sender.  Rounds live in a sparse
+// table with stable addresses: a record exists only for a round some vote
+// named, so a peer naming round 4000 costs one record, not 4000.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <optional>
-#include <set>
+#include <utility>
+#include <vector>
 
+#include "common/proc_set.hpp"
 #include "sim/engine.hpp"
 #include "sim/message.hpp"
 
@@ -69,7 +83,7 @@ class AbaHost {
  public:
   virtual ~AbaHost() = default;
   virtual void rb_broadcast(Context& ctx, const Message& m) = 0;
-  virtual void send_direct(Context& ctx, int to, Message m) = 0;
+  virtual void send_direct(Context& ctx, int to, const Message& m) = 0;
   // Coin round `round` of agreement instance `instance` is needed (kSvss
   // mode): this process's frozen round-`round` CONF sample gave no
   // estimate.  Called at most once per round; the host deals this
@@ -128,17 +142,20 @@ class AbaSession {
     bool coin_requested = false;
   };
   [[nodiscard]] RoundSnapshot snapshot(std::uint32_t r) const;
+  // Round records held: one per distinct round any vote, coin or round
+  // entry has named.
+  [[nodiscard]] std::size_t round_records() const { return rounds_.size(); }
 
  private:
   struct Round {
-    std::set<int> est_from[2];   // senders of EST(v)
+    ProcSet est_from[2];   // senders of EST(v)
+    ProcSet aux_from[2];   // senders whose first AUX was v
+    ProcSet conf_from[3];  // origins whose first CONF carried code c + 1
     bool est_sent[2] = {false, false};
-    bool bin[2] = {false, false};
+    std::uint8_t bin = 0;  // bin_values as a code
     bool aux_sent = false;
-    std::map<int, int> aux_from;    // sender -> first AUX value
-    std::optional<std::set<int>> v; // frozen AUX union
+    std::uint8_t v = 0;    // frozen AUX union as a code; 0 until frozen
     bool conf_sent = false;
-    std::map<int, std::set<int>> conf_from;  // origin -> CONF set
     bool conf_frozen = false;
     int singleton[2] = {0, 0};  // frozen tally of CONF == {v}
     std::optional<int> coin;
@@ -149,10 +166,12 @@ class AbaSession {
   void progress(Context& ctx);
   void enter_round(Context& ctx, std::uint32_t r);
   void send_est(Context& ctx, std::uint32_t r, int v);
+  // Sends one vote to every process, built once for the whole fan-out.
+  void send_all(Context& ctx, std::uint32_t r, int subtype, int payload);
   void decide(Context& ctx, int value);
+  // Get-or-create; the reference stays valid for the session's lifetime.
   Round& round_state(std::uint32_t r);
-  [[nodiscard]] static std::optional<std::set<int>> decode_set(int code);
-  [[nodiscard]] static int encode_set(const std::set<int>& s);
+  [[nodiscard]] const Round* find_round(std::uint32_t r) const;
 
   AbaHost& host_;
   int self_;
@@ -165,11 +184,14 @@ class AbaSession {
   bool started_ = false;
   int est_ = 0;
   std::uint32_t round_ = 0;  // current round, 1-based once started
-  std::map<std::uint32_t, Round> rounds_;
+  // The round table: records in creation order (a deque never moves
+  // them), and (round, index into rounds_) pairs sorted by round.
+  std::deque<Round> rounds_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> round_index_;
   std::optional<int> decision_;
   std::uint32_t decision_round_ = 0;
   bool decide_sent_ = false;
-  std::map<int, std::set<int>> decide_from_;  // value -> senders
+  ProcSet decide_from_[2];  // senders of DECIDE(v)
 };
 
 }  // namespace svss

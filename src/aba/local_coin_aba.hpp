@@ -28,7 +28,7 @@ namespace svss {
 class BenOrSession {
  public:
   // `send` delivers a direct message (the only primitive Ben-Or needs).
-  using SendFn = std::function<void(Context&, int to, Message)>;
+  using SendFn = std::function<void(Context&, int to, const Message&)>;
   BenOrSession(SendFn send, int self, int n, int t);
 
   void start(Context& ctx, int input);

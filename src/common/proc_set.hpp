@@ -10,6 +10,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/popcount.hpp"
+
 namespace svss {
 
 // Upper bound on the system size n: the width of every ProcSet, the bound
@@ -36,7 +38,7 @@ struct ProcSet {
   }
   [[nodiscard]] int count() const {
     int total = 0;
-    for (std::uint64_t w : words) total += __builtin_popcountll(w);
+    for (std::uint64_t w : words) total += popcount64(w);
     return total;
   }
   [[nodiscard]] bool subset_of(const ProcSet& other) const {

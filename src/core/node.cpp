@@ -306,8 +306,8 @@ const AbaSession* Node::aba(std::uint32_t instance) const {
 void Node::start_benor(Context& ctx, int input) {
   if (!benor_) {
     benor_ = std::make_unique<BenOrSession>(
-        [this](Context& c, int to, Message m) {
-          send_direct(c, to, std::move(m));
+        [this](Context& c, int to, const Message& m) {
+          send_direct(c, to, m);
         },
         self_, n_, t_);
   }
@@ -339,9 +339,9 @@ void Node::rb_broadcast(Context& ctx, const Message& m) {
   rbc_.broadcast(ctx, m);
 }
 
-void Node::send_direct(Context& ctx, int to, Message m) {
+void Node::send_direct(Context& ctx, int to, const Message& m) {
   if (batch_.capture(ctx, to, m)) return;
-  ctx.send(to, make_direct(std::move(m)));
+  ctx.send(to, make_direct(m));
 }
 
 void Node::emit_direct(Context& ctx, int to, Message m) {

@@ -130,7 +130,7 @@ class Node : public IProcess,
 
   // --- MwHost / SvssHost / CoinHost / AbaHost ---
   void rb_broadcast(Context& ctx, const Message& m) override;
-  void send_direct(Context& ctx, int to, Message m) override;
+  void send_direct(Context& ctx, int to, const Message& m) override;
   void mw_share_completed(Context& ctx, const SessionId& sid) override;
   void mw_recon_output(Context& ctx, const SessionId& sid,
                        std::optional<Fp> value) override;

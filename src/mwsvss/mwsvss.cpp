@@ -43,24 +43,25 @@ void MwSvssSession::deal(Context& ctx, Fp secret) {
     dealer_polys_.push_back(Polynomial::random_with_constant(
         dealer_f_.eval(point(l)), t_, ctx.rng()));
   }
+  Message shares = base_msg(MsgType::kMwDealerShares);
+  shares.vals.reserve(static_cast<std::size_t>(n_));
+  Message poly = base_msg(MsgType::kMwDealerPoly);
   for (int j = 0; j < n_; ++j) {
     // f_1(j) .. f_n(j): one value of every monitored polynomial.
-    Message shares = base_msg(MsgType::kMwDealerShares);
-    shares.vals.reserve(static_cast<std::size_t>(n_));
+    shares.vals.clear();
     for (int l = 0; l < n_; ++l) {
       shares.vals.push_back(dealer_polys_[static_cast<std::size_t>(l)].eval(
           point(j)));
     }
-    host_.send_direct(ctx, j, std::move(shares));
+    host_.send_direct(ctx, j, shares);
     // f_j(1) .. f_j(t+1): enough for j to reconstruct its own polynomial.
-    Message poly = base_msg(MsgType::kMwDealerPoly);
     poly.vals = dealer_polys_[static_cast<std::size_t>(j)].evaluate_range(
         t_ + 1);
-    host_.send_direct(ctx, j, std::move(poly));
+    host_.send_direct(ctx, j, poly);
   }
   Message whole = base_msg(MsgType::kMwDealerWhole);
   whole.vals = dealer_f_.evaluate_range(t_ + 1);
-  host_.send_direct(ctx, moderator(), std::move(whole));
+  host_.send_direct(ctx, moderator(), whole);
 }
 
 void MwSvssSession::set_moderator_input(Context& ctx, Fp s_prime) {
@@ -197,10 +198,11 @@ void MwSvssSession::progress(Context& ctx, unsigned steps) {
 void MwSvssSession::try_echo_and_ack(Context& ctx) {
   if (echoed_ || !row_vals_ || !my_poly_) return;
   echoed_ = true;
+  Message echo = base_msg(MsgType::kMwEchoVal);
+  echo.vals.resize(1);
   for (int l = 0; l < n_; ++l) {
-    Message echo = base_msg(MsgType::kMwEchoVal);
-    echo.vals.push_back((*row_vals_)[static_cast<std::size_t>(l)]);
-    host_.send_direct(ctx, l, std::move(echo));
+    echo.vals[0] = (*row_vals_)[static_cast<std::size_t>(l)];
+    host_.send_direct(ctx, l, echo);
   }
   host_.rb_broadcast(ctx, base_msg(MsgType::kMwAck));
 }
@@ -240,7 +242,7 @@ void MwSvssSession::try_broadcast_lset(Context& ctx) {
   host_.rb_broadcast(ctx, lset);
   Message mv = base_msg(MsgType::kMwMonitorVal);
   mv.vals.push_back(my_poly_->constant());
-  host_.send_direct(ctx, moderator(), std::move(mv));
+  host_.send_direct(ctx, moderator(), mv);
 }
 
 // S' steps 5-6: the moderator accepts monitors whose point agrees with the

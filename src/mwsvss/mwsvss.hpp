@@ -36,7 +36,7 @@ class MwHost {
  public:
   virtual ~MwHost() = default;
   virtual void rb_broadcast(Context& ctx, const Message& m) = 0;
-  virtual void send_direct(Context& ctx, int to, Message m) = 0;
+  virtual void send_direct(Context& ctx, int to, const Message& m) = 0;
   virtual Dmm& dmm() = 0;
   // Completion callbacks, each invoked at most once per session.
   virtual void mw_share_completed(Context& ctx, const SessionId& sid) = 0;

@@ -1,7 +1,8 @@
 #include "search/coverage.hpp"
 
 #include <algorithm>
-#include <bit>
+
+#include "common/popcount.hpp"
 
 namespace svss::search {
 
@@ -44,7 +45,7 @@ bool CoverageMap::mark(std::uint64_t key) {
 std::size_t CoverageMap::popcount() const {
   std::size_t total = 0;
   for (std::uint64_t w : words_) {
-    total += static_cast<std::size_t>(std::popcount(w));
+    total += static_cast<std::size_t>(popcount64(w));
   }
   return total;
 }
@@ -53,7 +54,7 @@ std::size_t CoverageMap::merge(const CoverageMap& other) {
   std::size_t fresh = 0;
   for (std::size_t i = 0; i < words_.size(); ++i) {
     std::uint64_t add = other.words_[i] & ~words_[i];
-    fresh += static_cast<std::size_t>(std::popcount(add));
+    fresh += static_cast<std::size_t>(popcount64(add));
     words_[i] |= add;
   }
   return fresh;
@@ -63,7 +64,7 @@ std::size_t CoverageMap::novel_bits(const CoverageMap& other) const {
   std::size_t fresh = 0;
   for (std::size_t i = 0; i < words_.size(); ++i) {
     fresh += static_cast<std::size_t>(
-        std::popcount(other.words_[i] & ~words_[i]));
+        popcount64(other.words_[i] & ~words_[i]));
   }
   return fresh;
 }

@@ -43,16 +43,17 @@ void SvssSession::deal(Context& ctx, Fp secret) {
   dealt_ = true;
   f_ = BivariatePolynomial::random_with_secret(secret, t_, ctx.rng());
   FieldVec scratch;
+  Message m;
+  m.sid = sid_;
+  m.type = MsgType::kSvssDealerShares;
   for (int j = 0; j < n_; ++j) {
     // g_j(1..t+1) then h_j(1..t+1): enough to reconstruct both slices.
-    // Evaluated in one pass over the coefficient grid (no per-recipient
-    // polynomial allocations — the coin deals n of these per process per
-    // round).
-    Message m;
-    m.sid = sid_;
-    m.type = MsgType::kSvssDealerShares;
+    // Evaluated in one pass over the coefficient grid into one reused
+    // message (no per-recipient allocations — the coin deals n of these
+    // per process per round).
+    m.vals.clear();
     f_.append_share_points(j + 1, t_ + 1, m.vals, scratch);
-    host_.send_direct(ctx, j, std::move(m));
+    host_.send_direct(ctx, j, m);
   }
 }
 

@@ -38,7 +38,7 @@ class SvssHost {
  public:
   virtual ~SvssHost() = default;
   virtual void rb_broadcast(Context& ctx, const Message& m) = 0;
-  virtual void send_direct(Context& ctx, int to, Message m) = 0;
+  virtual void send_direct(Context& ctx, int to, const Message& m) = 0;
   virtual Dmm& dmm() = 0;
   // Get-or-create the local state machine of a nested MW-SVSS session.
   virtual MwSvssSession& mw_child(Context& ctx, const SessionId& child) = 0;

@@ -23,8 +23,8 @@ class MockAbaHost : public AbaHost {
   void rb_broadcast(Context&, const Message& m) override {
     broadcasts.push_back(m);
   }
-  void send_direct(Context&, int to, Message m) override {
-    directs.emplace_back(to, std::move(m));
+  void send_direct(Context&, int to, const Message& m) override {
+    directs.emplace_back(to, m);
   }
   void start_coin(Context&, std::uint32_t instance,
                   std::uint32_t round) override {
@@ -290,6 +290,101 @@ TEST_F(AbaUnit, IdealCoinModeSuppliesCoinAtEveryRoundEntry) {
   EXPECT_FALSE(s.snapshot(1).coin_requested);
   EXPECT_TRUE(host.coin_requests.empty());
   EXPECT_TRUE(host.entered.empty());
+}
+
+// ------------------------------------------------------------------
+// Hostile votes: what a faulty peer can put on the wire
+// ------------------------------------------------------------------
+TEST_F(AbaUnit, SecondAuxFromOneSenderIsIgnored) {
+  Context ctx = engine.host(0).ctx();
+  AbaSession s(host, 0, kN, kT, CoinMode::kIdealCommon, 7);
+  s.start(ctx, 1);
+  for (int from : {1, 2, 3}) s.on_direct(ctx, from, vote(1, 0, 1));
+  // Sender 1's first AUX is 0, not in bin; its second, AUX(1), must not
+  // replace it.  Counted, it would complete the n - t = 3 quota.
+  s.on_direct(ctx, 1, vote(1, 1, 0));
+  s.on_direct(ctx, 1, vote(1, 1, 1));
+  for (int from : {2, 3}) s.on_direct(ctx, from, vote(1, 1, 1));
+  EXPECT_EQ(s.snapshot(1).aux_senders, 3u);
+  EXPECT_FALSE(s.snapshot(1).v_frozen);
+  // Once 0 joins bin, sender 1's first AUX is justified: V = {0, 1}.
+  for (int from : {1, 2, 3}) s.on_direct(ctx, from, vote(1, 0, 0));
+  EXPECT_TRUE(s.snapshot(1).v_frozen);
+  ASSERT_EQ(host.broadcasts.size(), 1u);
+  EXPECT_EQ(host.broadcasts[0].ints[0], 3);
+}
+
+TEST_F(AbaUnit, SecondConfFromOneOriginIsIgnored) {
+  Context ctx = engine.host(0).ctx();
+  AbaSession s(host, 0, kN, kT, CoinMode::kSvss, 0);
+  drive_to_conf(ctx, s, *this);
+  // Origin 1's first CONF is {1}; its second, {0}, must not count as a
+  // further sample entry nor replace the first.
+  s.on_broadcast(ctx, 1, vote(1, 2, 2));
+  s.on_broadcast(ctx, 1, vote(1, 2, 1));
+  s.on_broadcast(ctx, 2, vote(1, 2, 3));
+  EXPECT_EQ(s.snapshot(1).conf_senders, 2u);
+  EXPECT_FALSE(s.snapshot(1).conf_frozen);
+  // Third origin: the sample holds {1}, {0,1}, {1}, so t + 1 singletons
+  // {1} give the estimate; a replaced first CONF would leave one {0} and
+  // one {1} and fall through to the coin.
+  s.on_broadcast(ctx, 3, vote(1, 2, 2));
+  EXPECT_TRUE(host.coin_requests.empty());
+  EXPECT_FALSE(s.decided());
+  EXPECT_EQ(s.current_round(), 2u);
+  EXPECT_EQ(host.sent_values(0, 2), (std::vector<int>{1}));
+}
+
+TEST_F(AbaUnit, OutOfRangeCodesValuesAndIdsAreDropped) {
+  Context ctx = engine.host(0).ctx();
+  AbaSession s(host, 0, kN, kT, CoinMode::kIdealCommon, 7);
+  s.start(ctx, 1);
+  for (int code : {-1, 0, 4, 7}) s.on_broadcast(ctx, 1, vote(1, 2, code));
+  for (int subtype : {0, 1, 3}) {
+    for (int v : {-1, 2}) s.on_direct(ctx, 1, vote(1, subtype, v));
+  }
+  s.on_direct(ctx, 1, vote(1, 7, 1));  // no such subtype
+  for (int id : {-1, kN, 63, 64, 127, 128, 1000}) {
+    s.on_direct(ctx, id, vote(1, 0, 1));
+    s.on_direct(ctx, id, vote(1, 1, 1));
+    s.on_direct(ctx, id, vote(1, 3, 1));
+    s.on_broadcast(ctx, id, vote(1, 2, 2));
+  }
+  auto snap = s.snapshot(1);
+  EXPECT_EQ(snap.est_senders[0] + snap.est_senders[1], 0u);
+  EXPECT_EQ(snap.aux_senders, 0u);
+  EXPECT_EQ(snap.conf_senders, 0u);
+  // Seven out-of-range DECIDE(1) senders are well past t + 1.
+  EXPECT_FALSE(s.decided());
+  EXPECT_EQ(s.round_records(), 1u);
+}
+
+TEST_F(AbaUnit, VotesNamingFutureRoundsCreateOneRecordPerRound) {
+  Context ctx = engine.host(0).ctx();
+  AbaSession s(host, 0, kN, kT, CoinMode::kSvss, 0);
+  const std::uint32_t rounds[] = {4095, 17, 3, 900, 2};
+  for (std::uint32_t r : rounds) {
+    for (int from : {1, 2, 3}) {
+      s.on_direct(ctx, from, vote(r, 0, 1));
+      s.on_direct(ctx, from, vote(r, 1, 0));
+      s.on_broadcast(ctx, from, vote(r, 2, 3));
+    }
+    s.on_coin(ctx, r, 1);
+  }
+  // Rounds outside [1, kCoinRoundsPerInstance) name no record at all.
+  for (std::uint32_t r : {0u, kCoinRoundsPerInstance, 32767u}) {
+    s.on_direct(ctx, 1, vote(r, 0, 1));
+    s.on_broadcast(ctx, 1, vote(r, 2, 2));
+    s.on_coin(ctx, r, 1);
+  }
+  EXPECT_EQ(s.round_records(), std::size(rounds));
+  EXPECT_EQ(s.snapshot(900).est_senders[1], 3u);
+  EXPECT_EQ(s.snapshot(4095).conf_senders, 3u);
+  EXPECT_TRUE(s.snapshot(17).has_coin);
+  EXPECT_EQ(s.snapshot(18).est_senders[1], 0u);
+  // Starting uses round 1's record, the first the session needed itself.
+  s.start(ctx, 0);
+  EXPECT_EQ(s.round_records(), std::size(rounds) + 1);
 }
 
 // ------------------------------------------------------------------

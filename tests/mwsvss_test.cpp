@@ -9,15 +9,18 @@
 //   Lemma 1(a): only faulty processes are ever detected.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <set>
 #include <string>
 
 #include "core/runner.hpp"
+#include "golden_digest.hpp"
 #include "mwsvss/mwsvss.hpp"
 
 namespace svss {
 namespace {
+
+using test::Fnv;
+using test::fold_events;
 
 RunnerConfig cfg(int n, int t, std::uint64_t seed,
                  SchedulerKind sched = SchedulerKind::kRandom) {
@@ -292,25 +295,6 @@ struct GoldenCell {
 
 void PrintTo(const GoldenCell& cell, std::ostream* os) { *os << cell.name; }
 
-class Fnv {
- public:
-  void put(std::uint64_t v, int bytes) {
-    for (int b = 0; b < bytes; ++b) {
-      h_ ^= (v >> (8 * b)) & 0xFF;
-      h_ *= 0x100000001B3ULL;
-    }
-  }
-  [[nodiscard]] std::string hex() const {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(h_));
-    return buf;
-  }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
-
 void fold_run(Fnv& d, const Runner& r, const Runner::ShareResult& res) {
   d.put(static_cast<std::uint64_t>(res.status), 1);
   d.put(res.all_honest_shared ? 1 : 0, 1);
@@ -326,20 +310,7 @@ void fold_run(Fnv& d, const Runner& r, const Runner::ShareResult& res) {
   }
   d.put(res.metrics.packets_sent, 8);
   d.put(res.metrics.bytes_sent, 8);
-  for (const Event& e : r.log().events()) {
-    d.put(static_cast<std::uint64_t>(e.kind), 1);
-    d.put(static_cast<std::uint32_t>(e.who), 4);
-    d.put(static_cast<std::uint32_t>(e.other), 4);
-    d.put(static_cast<std::uint64_t>(e.sid.path), 1);
-    d.put(e.sid.variant, 1);
-    d.put(static_cast<std::uint16_t>(e.sid.owner), 2);
-    d.put(static_cast<std::uint16_t>(e.sid.moderator), 2);
-    d.put(static_cast<std::uint16_t>(e.sid.svss_dealer), 2);
-    d.put(e.sid.counter, 4);
-    d.put(e.sid.instance, 4);
-    d.put(static_cast<std::uint64_t>(e.value), 8);
-    d.put(e.has_value ? 1 : 0, 1);
-  }
+  fold_events(d, r.log());
 }
 
 const GoldenCell kGoldenCells[] = {

@@ -25,8 +25,8 @@ class MockHost : public MwHost {
   void rb_broadcast(Context&, const Message& m) override {
     broadcasts.push_back(m);
   }
-  void send_direct(Context&, int to, Message m) override {
-    directs.emplace_back(to, std::move(m));
+  void send_direct(Context&, int to, const Message& m) override {
+    directs.emplace_back(to, m);
   }
   Dmm& dmm() override { return dmm_; }
   void mw_share_completed(Context&, const SessionId&) override {

@@ -24,8 +24,8 @@ class MockSvssHost : public SvssHost {
   void rb_broadcast(Context&, const Message& m) override {
     broadcasts.push_back(m);
   }
-  void send_direct(Context&, int to, Message m) override {
-    directs.emplace_back(to, std::move(m));
+  void send_direct(Context&, int to, const Message& m) override {
+    directs.emplace_back(to, m);
   }
   Dmm& dmm() override { return dmm_; }
   MwSvssSession& mw_child(Context&, const SessionId& child) override {
@@ -63,7 +63,7 @@ class MockSvssHost : public SvssHost {
   class NullMwHost : public MwHost {
    public:
     void rb_broadcast(Context&, const Message&) override {}
-    void send_direct(Context&, int, Message) override {}
+    void send_direct(Context&, int, const Message&) override {}
     Dmm& dmm() override { return dmm_; }
     void mw_share_completed(Context&, const SessionId&) override {}
     void mw_recon_output(Context&, const SessionId&,
